@@ -12,7 +12,8 @@ Implementation choices for the parts the update-step contract leaves open:
 * Residual bookkeeping happens in the frequency domain. One FFT of the
   weighted signal and one of the weighting window are computed per tile;
   every iteration then only subtracts a shifted copy of the window
-  spectrum, since DFT{w * phi_u}[k] == W[k - u].
+  spectrum, since DFT{w * phi_u}[k] == W[k - u]. The shifted copies are
+  views into a 2x2 tiling of W built once per tile, not rolled arrays.
 * The spatial weighting window is decay_rho ** (euclidean distance from
   the tile center) on available pixels and exactly 0 elsewhere. Hole
   pixels, pixels outside the frame, and pixels beyond the tile + border
@@ -162,6 +163,13 @@ def fse_tile_iterate(
     f = np.where(avail, np.asarray(support, dtype=np.float64), 0.0)
 
     window_spectrum = np.fft.fft2(w)
+    # DFT{w * phi_u} is the window spectrum circularly shifted by u; every
+    # such shift is a view into a 2x2 tiling of it.
+    tiled = np.tile(window_spectrum, (2, 2))
+
+    def shifted(uy: int, ux: int) -> np.ndarray:
+        return tiled[size - uy : 2 * size - uy, size - ux : 2 * size - ux]
+
     w_total = float(window_spectrum[0, 0].real)
     residual_spectrum = np.fft.fft2(w * f)
     coeffs = np.zeros((size, size), dtype=np.complex128)
@@ -183,16 +191,14 @@ def fse_tile_iterate(
             # Self-conjugate bin (real basis function): real coefficient.
             step = params.orth_gamma * projection.real / w_total
             coeffs[uy, ux] += step
-            residual_spectrum -= step * np.roll(window_spectrum, (uy, ux), (0, 1))
+            residual_spectrum -= step * shifted(uy, ux)
             energy += step * step * w_total - 2.0 * step * projection.real
         else:
             step = params.orth_gamma * projection / w_total
             coeffs[uy, ux] += step
             coeffs[conj_uy, conj_ux] += step.conjugate()
-            residual_spectrum -= step * np.roll(window_spectrum, (uy, ux), (0, 1))
-            residual_spectrum -= step.conjugate() * np.roll(
-                window_spectrum, (conj_uy, conj_ux), (0, 1)
-            )
+            residual_spectrum -= step * shifted(uy, ux)
+            residual_spectrum -= step.conjugate() * shifted(conj_uy, conj_ux)
             w_double = window_spectrum[(2 * uy) % size, (2 * ux) % size]
             energy += (
                 -4.0 * (step.conjugate() * projection).real

@@ -5,6 +5,25 @@ displacements within the search window whose shifted block lies fully
 inside the reference frame. Ties are broken deterministically: smaller
 dx*dx + dy*dy first, then smaller dy, then smaller dx, so the zero vector
 wins whenever it reaches the minimum cost.
+
+How the search does its work:
+
+* The window is clamped to |dx| < width and |dy| < height, since no block
+  stays inside the frame under a larger shift; a search range beyond the
+  frame costs nothing extra.
+* Candidates are visited in tie-break priority order, and a block's best
+  vector only changes on a strictly smaller cost, so the first minimum in
+  that order wins.
+* Per candidate, the whole frame is handled by a few array reductions on
+  preallocated frame-sized buffers: one subtraction of the zero-padded
+  current frame and a contiguous window of the zero-padded reference,
+  an in-place square, zeroing of the samples past the frame edge (so
+  clipped boundary blocks sum their clipped extent), a sum over the rows
+  of each block row and a sum over the columns of each block. Blocks whose
+  shifted position leaves the reference are excluded from the update.
+* Costs are exact integers: int32 when block_size**2 * span**2 < 2**31,
+  with span the largest difference between any two samples of the pair
+  (at most 2**bit_depth - 1 for original frames), int64 otherwise.
 """
 
 from __future__ import annotations
@@ -63,16 +82,25 @@ def block_ssd(
     return int(np.sum(diff * diff))
 
 
-def _candidate_order(search_range: int) -> list[tuple[int, int]]:
+def _candidate_order(range_y: int, range_x: int) -> list[tuple[int, int]]:
     # Visiting candidates in tie-break priority order lets the search use a
     # strict less-than update and still realize the full tie-break rule.
     cands = [
         (dy, dx)
-        for dy in range(-search_range, search_range + 1)
-        for dx in range(-search_range, search_range + 1)
+        for dy in range(-range_y, range_y + 1)
+        for dx in range(-range_x, range_x + 1)
     ]
     cands.sort(key=lambda c: (c[0] * c[0] + c[1] * c[1], c[0], c[1]))
     return cands
+
+
+def _valid_blocks(
+    starts: np.ndarray, ends: np.ndarray, extent: int, shift: int
+) -> tuple[int, int]:
+    """Index range [lo, hi) of the blocks along one axis that stay inside
+    [0, extent) when shifted by `shift`; the valid blocks are contiguous."""
+    ok = np.flatnonzero((starts + shift >= 0) & (ends + shift <= extent))
+    return (int(ok[0]), int(ok[-1]) + 1) if ok.size else (0, 0)
 
 
 def estimate_motion(current: Frame, reference: Frame, cfg: SearchConfig) -> MotionField:
@@ -87,54 +115,70 @@ def estimate_motion(current: Frame, reference: Frame, cfg: SearchConfig) -> Moti
     height, width = current.samples.shape
     bs = cfg.block_size
     blocks_x, blocks_y = grid_dims(width, height, bs)
+    grid_h, grid_w = blocks_y * bs, blocks_x * bs
+    # No block stays inside the frame under a shift of a full frame extent.
+    range_x = min(cfg.search_range, width - 1)
+    range_y = min(cfg.search_range, height - 1)
 
-    xs0 = np.arange(blocks_x, dtype=np.int64) * bs
-    ys0 = np.arange(blocks_y, dtype=np.int64) * bs
-    ws = np.minimum(bs, width - xs0)
-    hs = np.minimum(bs, height - ys0)
+    cur = current.samples
+    ref = reference.samples
+    span = int(max(cur.max(), ref.max())) - int(min(cur.min(), ref.min()))
+    acc = np.int32 if bs * bs * span * span < 2**31 else np.int64
 
-    cur = current.samples.astype(np.int64)
-    ref = reference.samples.astype(np.int64)
+    # Both frames share one row stride, so the reference window of every
+    # candidate is a contiguous slice of the flattened padded reference.
+    # Columns past grid_w hold wrapped-around samples and are never summed;
+    # the spare reference row keeps the last window inside the buffer.
+    stride = grid_w + 2 * range_x
+    cur_p = np.zeros((grid_h, stride), dtype=acc)
+    cur_p[:height, :width] = cur
+    ref_p = np.zeros((grid_h + 2 * range_y + 1, stride), dtype=acc)
+    ref_p[range_y : range_y + height, range_x : range_x + width] = ref
+    cur_flat = cur_p.ravel()
+    ref_flat = ref_p.ravel()
+    sq = np.empty((grid_h, stride), dtype=acc)
+    sq_flat = sq.ravel()
+    row_sums = np.empty((blocks_y, stride), dtype=acc)
+    costs = np.empty((blocks_y, blocks_x), dtype=acc)
+    # A view, so it follows every in-place update of row_sums.
+    block_sums = row_sums[:, :grid_w].reshape(blocks_y, blocks_x, bs)
 
+    xs0 = np.arange(blocks_x) * bs
+    ys0 = np.arange(blocks_y) * bs
+    xs1 = np.minimum(xs0 + bs, width)
+    ys1 = np.minimum(ys0 + bs, height)
+    rows = {dy: _valid_blocks(ys0, ys1, height, dy) for dy in range(-range_y, range_y + 1)}
+    cols = {dx: _valid_blocks(xs0, xs1, width, dx) for dx in range(-range_x, range_x + 1)}
+
+    order = _candidate_order(range_y, range_x)
     best_cost = np.full((blocks_y, blocks_x), np.iinfo(np.int64).max, dtype=np.int64)
-    best_dx = np.zeros((blocks_y, blocks_x), dtype=np.int64)
-    best_dy = np.zeros((blocks_y, blocks_x), dtype=np.int64)
-
-    for dy, dx in _candidate_order(cfg.search_range):
-        col_ok = (xs0 + dx >= 0) & (xs0 + ws + dx <= width)
-        row_ok = (ys0 + dy >= 0) & (ys0 + hs + dy <= height)
-        if not col_ok.any() or not row_ok.any():
+    best_index = np.zeros((blocks_y, blocks_x), dtype=np.int64)
+    for k, (dy, dx) in enumerate(order):
+        r0, r1 = rows[dy]
+        c0, c1 = cols[dx]
+        if r0 == r1 or c0 == c1:
             continue
+        offset = (range_y + dy) * stride + range_x + dx
+        np.subtract(cur_flat, ref_flat[offset : offset + sq_flat.size], out=sq_flat)
+        np.multiply(sq_flat, sq_flat, out=sq_flat)
+        # Samples past the frame edge must add nothing to clipped blocks.
+        if grid_h > height:
+            sq[height:] = 0
+        np.add.reduce(sq.reshape(blocks_y, bs, stride), axis=1, out=row_sums)
+        if grid_w > width:
+            row_sums[:, width:grid_w] = 0
+        np.add.reduce(block_sums, axis=2, out=costs)
 
-        y0c, y1c = max(0, -dy), min(height, height - dy)
-        x0c, x1c = max(0, -dx), min(width, width - dx)
-        d = cur[y0c:y1c, x0c:x1c] - ref[y0c + dy : y1c + dy, x0c + dx : x1c + dx]
-        sq = d * d
-        integral = np.zeros((sq.shape[0] + 1, sq.shape[1] + 1), dtype=np.int64)
-        np.cumsum(sq, axis=0, out=integral[1:, 1:])
-        np.cumsum(integral[1:, 1:], axis=1, out=integral[1:, 1:])
-
-        # Valid blocks lie fully inside the diff region, so clipping the
-        # lookup indices only affects blocks that are masked out anyway.
-        top = np.clip(ys0 - y0c, 0, integral.shape[0] - 1)
-        bottom = np.clip(ys0 + hs - y0c, 0, integral.shape[0] - 1)
-        left = np.clip(xs0 - x0c, 0, integral.shape[1] - 1)
-        right = np.clip(xs0 + ws - x0c, 0, integral.shape[1] - 1)
-
-        costs = (
-            integral[bottom[:, None], right[None, :]]
-            - integral[top[:, None], right[None, :]]
-            - integral[bottom[:, None], left[None, :]]
-            + integral[top[:, None], left[None, :]]
-        )
-        better = (row_ok[:, None] & col_ok[None, :]) & (costs < best_cost)
-        best_cost[better] = costs[better]
-        best_dx[better] = dx
-        best_dy[better] = dy
+        # Only blocks whose shifted position stays inside the reference
+        # take part; the others read padding and are skipped.
+        cand = costs[r0:r1, c0:c1]
+        best = best_cost[r0:r1, c0:c1]
+        better = cand < best
+        np.copyto(best, cand, where=better)
+        np.copyto(best_index[r0:r1, c0:c1], k, where=better)
 
     vectors = tuple(
-        MotionVector(int(dx), int(dy))
-        for dx, dy in zip(best_dx.ravel(), best_dy.ravel())
+        MotionVector(order[k][1], order[k][0]) for k in best_index.ravel().tolist()
     )
     return MotionField(bs, blocks_x, blocks_y, vectors)
 

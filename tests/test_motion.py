@@ -97,6 +97,19 @@ def test_dimension_mismatch_rejected(rng):
         estimate_motion(a, b, SearchConfig(8, 2))
 
 
+def assert_matches_oracle(cur: Frame, ref: Frame, block_size: int, search_range: int):
+    field = estimate_motion(cur, ref, SearchConfig(block_size, search_range))
+    expected, costs = oracle_search(cur, ref, block_size, search_range)
+    assert list(field.vectors) == expected
+    for blk_index, v in enumerate(field.vectors):
+        by, bx = divmod(blk_index, field.blocks_x)
+        x0, y0 = bx * block_size, by * block_size
+        w = min(block_size, cur.width - x0)
+        h = min(block_size, cur.height - y0)
+        assert block_ssd(cur, ref, (x0, y0), (w, h), v) == costs[blk_index]
+    return field, costs
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_matches_brute_force_oracle(seed):
     rng = np.random.default_rng(seed)
@@ -105,15 +118,58 @@ def test_matches_brute_force_oracle(seed):
     block_size = int(rng.choice([4, 8, 16]))
     search_range = int(rng.integers(1, 5))
     cur, ref = make_pair(rng, width, height, 8)
-    field = estimate_motion(cur, ref, SearchConfig(block_size, search_range))
-    expected, costs = oracle_search(cur, ref, block_size, search_range)
-    assert list(field.vectors) == expected
-    for blk_index, v in enumerate(field.vectors):
-        by, bx = divmod(blk_index, field.blocks_x)
-        x0, y0 = bx * block_size, by * block_size
-        w = min(block_size, width - x0)
-        h = min(block_size, height - y0)
-        assert block_ssd(cur, ref, (x0, y0), (w, h), v) == costs[blk_index]
+    assert_matches_oracle(cur, ref, block_size, search_range)
+
+
+@pytest.mark.parametrize("bit_depth", [12, 16])
+@pytest.mark.parametrize("seed", range(3))
+def test_oracle_deep_samples(bit_depth, seed):
+    rng = np.random.default_rng(100 + seed)
+    width = int(rng.integers(9, 41))
+    height = int(rng.integers(9, 41))
+    block_size = int(rng.choice([4, 8, 16]))
+    cur, ref = make_pair(rng, width, height, bit_depth)
+    assert_matches_oracle(cur, ref, block_size, 3)
+
+
+def test_oracle_16bit_full_blocks_exceed_int32(rng):
+    # 16x16 blocks of 16-bit noise: block costs far beyond 2**31.
+    cur, ref = make_pair(rng, 48, 32, 16)
+    _, costs = assert_matches_oracle(cur, ref, 16, 4)
+    assert min(costs) >= 2**31
+
+
+def test_oracle_subband_range_samples(rng):
+    # Subband frames may leave [0, 2**bit_depth); the search stays exact.
+    cur = Frame(rng.integers(-(1 << 20), 1 << 20, size=(20, 24)), 8)
+    ref = Frame(rng.integers(-(1 << 20), 1 << 20, size=(20, 24)), 8)
+    assert_matches_oracle(cur, ref, 8, 3)
+
+
+@pytest.mark.parametrize(
+    "width,height,block_size,search_range",
+    [
+        (30, 25, 7, 4),  # blocks divide neither dimension
+        (23, 19, 5, 4),
+        (9, 7, 1, 2),  # one-pixel blocks
+        (21, 17, 8, 0),  # only the zero vector
+        (13, 11, 4, 17),  # window beyond both frame dimensions
+    ],
+)
+def test_oracle_geometries(rng, width, height, block_size, search_range):
+    cur, ref = make_pair(rng, width, height, 8)
+    assert_matches_oracle(cur, ref, block_size, search_range)
+
+
+def test_oracle_block_size_one_reaches_opposite_corner(rng):
+    # Only 1-pixel blocks admit |dx| == width - 1 and |dy| == height - 1:
+    # the top-left sample matches nothing but the bottom-right one.
+    ref = Frame(10 * rng.permutation(20).reshape(4, 5), 8)
+    cur_samples = rng.integers(0, 256, size=(4, 5))
+    cur_samples[0, 0] = ref.samples[3, 4]
+    field, costs = assert_matches_oracle(Frame(cur_samples, 8), ref, 1, 6)
+    assert field.vector_at(0, 0) == MotionVector(4, 3)
+    assert costs[0] == 0
 
 
 def test_cost_non_increasing_with_range(rng):

@@ -13,11 +13,11 @@ from .core import (
     UpdateField,
     UpdateMode,
     floor_samples,
-    floor_scale,
 )
-from .fse import FseModel, fse_reconstruct, fse_tile_iterate, plan_tiles
+from .fse import TileStats, fse_reconstruct, fse_tile_iterate, plan_tiles
 from .imc import apply_connectivity_weights, connectivity_stats, imc_scatter
 from .lifting import (
+    PairProducts,
     SequenceBands,
     SubbandPair,
     analyze_highpass,
@@ -34,10 +34,9 @@ from .metrics import (
     boundary_step_metric,
     decode_lossless,
     encode_lossless,
-    first_order_entropy,
     psnr,
 )
-from .motion import SearchConfig, block_ssd, estimate_motion
+from .motion import block_ssd, estimate_motion
 
 __version__ = "0.1.0"
 
@@ -45,15 +44,15 @@ __all__ = [
     "ConnectivityMap",
     "DataFormatError",
     "Frame",
-    "FseModel",
     "FseParams",
     "LiftConfig",
     "MotionField",
     "MotionVector",
-    "SearchConfig",
+    "PairProducts",
     "Sequence",
     "SequenceBands",
     "SubbandPair",
+    "TileStats",
     "UpdateField",
     "UpdateMode",
     "analyze_highpass",
@@ -67,9 +66,7 @@ __all__ = [
     "decode_lossless",
     "encode_lossless",
     "estimate_motion",
-    "first_order_entropy",
     "floor_samples",
-    "floor_scale",
     "fse_reconstruct",
     "fse_tile_iterate",
     "imc_scatter",

@@ -1,8 +1,7 @@
 """Command-line driver: analyze, synthesize, compare, gen-fixture.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 verification failure.
-Every run is deterministic given its flags and input files; --threads only
-changes scheduling, never output bytes.
+Every run is deterministic given its flags and input files.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from .io import (
 from .lifting import (
     PairProducts,
     SequenceBands,
-    analyze_sequence_products,
+    analyze_sequence,
     read_container,
     synthesize_sequence,
     write_container,
@@ -61,7 +60,7 @@ COMPARE_COLUMNS = (
     "lowpass_bytes",
     "highpass_bytes",
     "motion_bytes",
-    "mean_lp_psnr_db",
+    "mean_lowpass_psnr_db",
     "boundary_step",
 )
 METRICS_COLUMNS = (
@@ -89,32 +88,31 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fft_size_for(tile: int, border: int) -> int:
-    size = 1
-    while size < tile + 2 * border:
-        size *= 2
-    return size
+def _add_fse_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--fse-iters", type=int, default=1000)
+    p.add_argument("--fse-tile", type=int, default=16)
+    p.add_argument("--fse-border", type=int, default=16)
 
 
-def _add_transform_flags(p: argparse.ArgumentParser) -> None:
+def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=sorted(MODE_FROM_CLI), default="block+fse",
                    help="update mode (default: block+fse)")
     p.add_argument("--block-size", type=int, default=16)
     p.add_argument("--search-range", type=int, default=15)
-    p.add_argument("--fse-iters", type=int, default=1000)
-    p.add_argument("--fse-tile", type=int, default=16)
-    p.add_argument("--fse-border", type=int, default=16)
-    p.add_argument("--threads", type=int, default=1)
+    _add_fse_flags(p)
 
 
 def _config_from_args(args) -> LiftConfig:
+    """LiftConfig from the parsed flags. Synthesis has only the --fse-* ones,
+    since the update mode and the motion come from the container."""
     try:
         fse = FseParams(
             tile_size=args.fse_tile,
             border=args.fse_border,
-            fft_size=_fft_size_for(args.fse_tile, args.fse_border),
             max_iterations=args.fse_iters,
         )
+        if args.command == "synthesize":
+            return LiftConfig(fse=fse)
         return LiftConfig(
             block_size=args.block_size,
             search_range=args.search_range,
@@ -158,7 +156,6 @@ def _sequence_report(
         "highpass_bytes": highpass_bytes,
         "motion_bytes": motion_bytes,
         "mean_lowpass_psnr_db": _fmt(mean_psnr),
-        "mean_lp_psnr_db": _fmt(mean_psnr),
         "boundary_step": _fmt(mean_step),
     }
 
@@ -215,7 +212,7 @@ def _dump_diagnostics(
 def cmd_analyze(args) -> int:
     cfg = _config_from_args(args)
     seq = read_dataset(args.input)
-    bands, products = analyze_sequence_products(seq, cfg, workers=args.threads)
+    bands, products = analyze_sequence(seq, cfg)
     write_container(args.output, bands)
     report = _sequence_report(Path(args.input).stem, seq, bands, products)
     metrics_path = args.metrics_csv or (str(args.output) + ".metrics.csv")
@@ -233,7 +230,7 @@ def cmd_analyze(args) -> int:
 def cmd_synthesize(args) -> int:
     cfg = _config_from_args(args)
     bands = read_container(args.input)
-    seq = synthesize_sequence(bands, cfg, workers=args.threads)
+    seq = synthesize_sequence(bands, cfg)
     payload = write_raw_sequence(seq, args.output)
     write_sidecar(seq, str(args.output) + ".json", Path(args.output).name)
     digest = sha256_hex(payload)
@@ -258,7 +255,7 @@ def cmd_compare(args) -> int:
     rows = []
     for mode_name in mode_names:
         cfg = replace(base_cfg, update_mode=MODE_FROM_CLI[mode_name])
-        bands, products = analyze_sequence_products(seq, cfg, workers=args.threads)
+        bands, products = analyze_sequence(seq, cfg)
         rows.append(_sequence_report(name, seq, bands, products))
     _write_csv(args.output, COMPARE_COLUMNS, rows)
     print(",".join(COMPARE_COLUMNS))
@@ -299,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--output", required=True, help="subband container path")
     p_an.add_argument("--metrics-csv", default=None)
     p_an.add_argument("--dump-diagnostics", metavar="DIR", default=None)
-    _add_transform_flags(p_an)
+    _add_analysis_flags(p_an)
     p_an.set_defaults(func=cmd_analyze)
 
     p_sy = sub.add_parser("synthesize", help="reconstruct the raw sequence from a container")
@@ -307,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sy.add_argument("--output", required=True, help="reconstructed raw path")
     p_sy.add_argument("--expect-sha256", default=None,
                       help="fail with exit 3 if the reconstruction hash differs")
-    _add_transform_flags(p_sy)
+    _add_fse_flags(p_sy)
     p_sy.set_defaults(func=cmd_synthesize)
 
     p_cmp = sub.add_parser("compare", help="run several update modes over one dataset")
@@ -315,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--output", required=True, help="comparison CSV path")
     p_cmp.add_argument("--modes", default="block,block+fse",
                        help="comma-separated update modes (default: block,block+fse)")
-    _add_transform_flags(p_cmp)
+    _add_analysis_flags(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_gen = sub.add_parser("gen-fixture", help="write a synthetic dataset")

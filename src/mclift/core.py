@@ -3,13 +3,11 @@
 Frames are 2-D integer sample grids. Subband frames (highpass, lowpass)
 may carry negative or widened values, so storage is always signed int32,
 which leaves headroom beyond the nominal bit depth of the source data.
-All value objects are frozen after construction and safe to share across
-worker threads.
+All value objects are frozen after construction.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, NamedTuple
@@ -40,19 +38,12 @@ MODE_CLI_NAMES = {
 MODE_FROM_CLI = {name: mode for mode, name in MODE_CLI_NAMES.items()}
 
 
-def floor_scale(value: float) -> int:
-    """Arithmetic floor (toward minus infinity), as used by the lifting steps.
+def floor_samples(values: np.ndarray) -> np.ndarray:
+    """Elementwise arithmetic floor of a real-valued grid, as int64.
 
     Truncation would break bit-exact inversion for negative update values,
-    so this must never be implemented as int().
+    so the lifting steps round toward minus infinity.
     """
-    if not math.isfinite(value):
-        raise ValueError(f"floor_scale requires a finite value, got {value!r}")
-    return math.floor(value)
-
-
-def floor_samples(values: np.ndarray) -> np.ndarray:
-    """Elementwise arithmetic floor of a real-valued grid, as int64."""
     return np.floor(values).astype(np.int64)
 
 
@@ -103,11 +94,6 @@ class Frame:
         return (
             self.samples.shape == other.samples.shape
             and self.bit_depth == other.bit_depth
-        )
-
-    def in_original_range(self) -> bool:
-        return bool(
-            self.samples.min() >= 0 and self.samples.max() <= self.max_value
         )
 
     def __eq__(self, other: object) -> bool:
@@ -296,23 +282,19 @@ class UpdateField:
         return self.values.shape[1]
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class FseParams:
     """Configuration of the spectral hole-filling stage.
 
     tile_size is the edge of a hole-owning processing block, border the
-    support margin included on each side, fft_size the transform edge.
-    decay_rho controls the spatial weighting falloff from the tile center
-    and orth_gamma damps each greedy coefficient update.
+    support margin included on each side. The transform edge fft_size is
+    the smallest power of two that holds tile_size + 2*border. decay_rho
+    controls the spatial weighting falloff from the tile center and
+    orth_gamma damps each greedy coefficient update.
     """
 
     tile_size: int = 16
     border: int = 16
-    fft_size: int = 64
     decay_rho: float = 0.8
     orth_gamma: float = 0.5
     max_iterations: int = 1000
@@ -323,13 +305,6 @@ class FseParams:
             raise ValueError("tile_size must be >= 1")
         if self.border < 0:
             raise ValueError("border must be >= 0")
-        if not _is_power_of_two(self.fft_size):
-            raise ValueError(f"fft_size must be a power of two, got {self.fft_size}")
-        if self.fft_size < self.tile_size + 2 * self.border:
-            raise ValueError(
-                f"fft_size {self.fft_size} < tile_size + 2*border "
-                f"({self.tile_size + 2 * self.border})"
-            )
         if not 0.0 < self.decay_rho < 1.0:
             raise ValueError("decay_rho must be in (0, 1)")
         if not 0.0 < self.orth_gamma <= 1.0:
@@ -339,10 +314,18 @@ class FseParams:
         if self.stop_epsilon < 0.0:
             raise ValueError("stop_epsilon must be >= 0")
 
+    @property
+    def fft_size(self) -> int:
+        return 1 << (self.tile_size + 2 * self.border - 1).bit_length()
+
 
 @dataclass(frozen=True)
 class LiftConfig:
-    """Pipeline configuration for one decomposition level."""
+    """Pipeline configuration for one decomposition level.
+
+    block_size and search_range drive the motion search; the update mode
+    and the FSE parameters drive the update step.
+    """
 
     block_size: int = 16
     search_range: int = 15

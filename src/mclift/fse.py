@@ -28,14 +28,15 @@ Implementation choices for the parts the update-step contract leaves open:
 
 Each hole pixel is owned by exactly one tile_size-aligned tile; a tile's
 support is the tile plus `border` pixels on each side, clipped to the
-frame and embedded in an fft_size transform grid.
+frame and embedded in an fft_size transform grid. Tiles are filled one
+after another in plan order; since no tile reads another's fill, that
+order does not change the result.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,13 +44,11 @@ from .core import FseParams, UpdateField
 
 __all__ = [
     "FseParams",
-    "FseModel",
     "TilePlan",
     "TileStats",
     "plan_tiles",
     "fse_tile_iterate",
     "fse_reconstruct",
-    "fse_reconstruct_with_stats",
     "weight_grid",
 ]
 
@@ -71,32 +70,6 @@ class TilePlan:
     tile_w: int
     origin_y: int
     origin_x: int
-
-
-@dataclass
-class FseModel:
-    """Sparse Fourier model: coefficient per selected (ky, kx) frequency."""
-
-    fft_size: int
-    coefficients: dict[tuple[int, int], complex]
-    iterations: int = 0
-    energy_trace: list[float] = field(default_factory=list)
-
-    @property
-    def basis_set(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.coefficients))
-
-    def synthesize(self) -> np.ndarray:
-        """Spatial model over the transform grid, as complex samples.
-
-        The imaginary part is numerical noise whenever the coefficients are
-        conjugate-symmetric; callers use the real part.
-        """
-        size = self.fft_size
-        spectrum = np.zeros((size, size), dtype=np.complex128)
-        for (ky, kx), c in self.coefficients.items():
-            spectrum[ky, kx] = c
-        return np.fft.ifft2(spectrum) * (size * size)
 
 
 @dataclass
@@ -146,12 +119,16 @@ def fse_tile_iterate(
     available_mask: np.ndarray,
     weight_window: np.ndarray,
     params: FseParams,
-) -> FseModel:
+) -> tuple[np.ndarray, list[float]]:
     """Greedy model growth for one tile.
 
     `support` holds the samples over the transform grid, `available_mask`
     marks which of them are real observations, and `weight_window` supplies
     the spatial emphasis (forced to zero on unavailable pixels here).
+
+    Returns the model's coefficient grid, an fft_size x fft_size complex
+    spectrum that is nonzero only at the selected (ky, kx) bins, and the
+    weighted residual energy before the first and after every iteration.
     """
     size = params.fft_size
     avail = np.asarray(available_mask, dtype=bool)
@@ -209,11 +186,7 @@ def fse_tile_iterate(
         trace.append(energy)
         iterations += 1
 
-    selected = {
-        (int(ky), int(kx)): complex(coeffs[ky, kx])
-        for ky, kx in zip(*np.nonzero(coeffs))
-    }
-    return FseModel(size, selected, iterations=iterations, energy_trace=trace)
+    return coeffs, trace
 
 
 def _tile_inputs(
@@ -256,41 +229,34 @@ def _fill_one_tile(
     if not avail.any():
         stats = TileStats(plan.tile_y, plan.tile_x, 0, [0.0], degenerate=True)
         return None, stats
-    model = fse_tile_iterate(vals, avail, base_weights, params)
-    spatial = model.synthesize().real
+    coeffs, trace = fse_tile_iterate(vals, avail, base_weights, params)
+    size = params.fft_size
+    # The coefficients are conjugate-symmetric, so the imaginary part of the
+    # spatial model is numerical noise.
+    spatial = (np.fft.ifft2(coeffs) * (size * size)).real
     hy, hx = np.nonzero(owner_holes)
     fill = spatial[hy + params.border, hx + params.border]
-    stats = TileStats(plan.tile_y, plan.tile_x, model.iterations, model.energy_trace)
+    stats = TileStats(plan.tile_y, plan.tile_x, len(trace) - 1, trace)
     return fill, stats
 
 
-def fse_reconstruct_with_stats(
-    field: UpdateField, params: FseParams, workers: int = 1
+def fse_reconstruct(
+    field: UpdateField, params: FseParams
 ) -> tuple[UpdateField, list[TileStats]]:
-    """Fill all hole pixels, returning per-tile iteration diagnostics.
+    """Replace hole pixels by the extrapolation model; deterministic.
 
-    Non-hole pixels pass through bit-identically. Tiles are independent,
-    so the result does not depend on `workers` or processing order.
+    Returns the filled field and the per-tile iteration diagnostics, in
+    plan order. Non-hole pixels pass through bit-identically.
     """
     holes = field.hole_mask
     if not holes.any():
         return field, []
-    plans = plan_tiles(holes, params)
     base_weights = weight_grid(params)
     values = field.values
     out = values.copy()
-
-    def job(plan: TilePlan):
-        return _fill_one_tile(plan, values, holes, base_weights, params)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, plans))
-    else:
-        results = [job(plan) for plan in plans]
-
     all_stats = []
-    for plan, (fill, stats) in zip(plans, results):
+    for plan in plan_tiles(holes, params):
+        fill, stats = _fill_one_tile(plan, values, holes, base_weights, params)
         owner = holes[
             plan.tile_y : plan.tile_y + plan.tile_h,
             plan.tile_x : plan.tile_x + plan.tile_w,
@@ -308,11 +274,3 @@ def fse_reconstruct_with_stats(
             out[plan.tile_y + hy, plan.tile_x + hx] = fill
         all_stats.append(stats)
     return UpdateField(values=out, hole_mask=holes), all_stats
-
-
-def fse_reconstruct(
-    field: UpdateField, params: FseParams, workers: int = 1
-) -> UpdateField:
-    """Replace hole pixels by the extrapolation model; deterministic."""
-    filled, _ = fse_reconstruct_with_stats(field, params, workers=workers)
-    return filled

@@ -9,13 +9,13 @@ floor, so synthesis reproduces the original samples bit-exactly.
 The decoder never receives the update field: it recomputes it from the
 transmitted highpass band and motion field, repeating the identical
 deterministic weighting and hole filling. The only side information beyond
-the subbands is the motion field itself.
+the subbands is the motion field itself. Analysis and synthesis run one
+path, pair after pair, so both sides compute that update field the same way.
 """
 
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +33,9 @@ from .core import (
     floor_samples,
     iter_blocks,
 )
-from .fse import TileStats, fse_reconstruct_with_stats
+from .fse import TileStats, fse_reconstruct
 from .imc import apply_connectivity_weights, imc_scatter
-from .motion import SearchConfig, estimate_motion, motion_from_bytes, motion_to_bytes
+from .motion import estimate_motion, motion_from_bytes, motion_to_bytes
 
 _CONTAINER_MAGIC = b"MCLF"
 _CONTAINER_VERSION = 1
@@ -164,22 +164,18 @@ def _build_update(
     elif mode is UpdateMode.COPY_UNCONNECTED:
         final = weighted
     elif mode is UpdateMode.FSE_FILL:
-        final, stat_list = fse_reconstruct_with_stats(weighted, fse_params)
+        final, stat_list = fse_reconstruct(weighted, fse_params)
         stats = tuple(stat_list)
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown update mode {mode}")
     return final, weighted, conn, raw, stats
 
 
-def analyze_pair_products(
-    reference: Frame, current: Frame, cfg: LiftConfig
-) -> PairProducts:
+def analyze_pair(reference: Frame, current: Frame, cfg: LiftConfig) -> PairProducts:
     """Full analysis of one (reference, current) pair, keeping every stage."""
     if not reference.same_geometry(current):
         raise ValueError("reference and current frames must share geometry")
-    motion = estimate_motion(
-        current, reference, SearchConfig(cfg.block_size, cfg.search_range)
-    )
+    motion = estimate_motion(current, reference, cfg)
     predictor = mc_predict(reference, motion)
     highpass = analyze_highpass(current, predictor)
     final, weighted, conn, raw, stats = _build_update(
@@ -196,10 +192,6 @@ def analyze_pair_products(
         final_update=final,
         fse_stats=stats,
     )
-
-
-def analyze_pair(reference: Frame, current: Frame, cfg: LiftConfig) -> SubbandPair:
-    return analyze_pair_products(reference, current, cfg).subbands
 
 
 def synthesize_pair(bands: SubbandPair, cfg: LiftConfig) -> tuple[Frame, Frame]:
@@ -222,28 +214,17 @@ def synthesize_pair(bands: SubbandPair, cfg: LiftConfig) -> tuple[Frame, Frame]:
     return reference, current
 
 
-def analyze_sequence_products(
-    seq: Sequence, cfg: LiftConfig, workers: int = 1
+def analyze_sequence(
+    seq: Sequence, cfg: LiftConfig
 ) -> tuple[SequenceBands, list[PairProducts]]:
     """One decomposition level over consecutive frame pairs, keeping the
-    per-pair intermediates for metrics and diagnostics.
-
-    Pairs are independent; `workers` > 1 processes them concurrently
-    without changing any output.
-    """
+    per-pair intermediates for metrics and diagnostics."""
     if len(seq) < 1:
         raise ValueError("sequence must contain at least one frame")
-    pairs = [(seq[2 * t], seq[2 * t + 1]) for t in range(len(seq) // 2)]
     has_trailing = len(seq) % 2 == 1
-
-    def analyze(pair: tuple[Frame, Frame]) -> PairProducts:
-        return analyze_pair_products(pair[0], pair[1], cfg)
-
-    if workers > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(analyze, pairs))
-    else:
-        results = [analyze(p) for p in pairs]
+    results = [
+        analyze_pair(seq[2 * t], seq[2 * t + 1], cfg) for t in range(len(seq) // 2)
+    ]
 
     lowpass = [r.subbands.lowpass for r in results]
     if has_trailing:
@@ -259,35 +240,11 @@ def analyze_sequence_products(
     return bands, results
 
 
-def analyze_sequence(
-    seq: Sequence, cfg: LiftConfig, workers: int = 1
-) -> SequenceBands:
-    """One decomposition level over consecutive frame pairs."""
-    bands, _ = analyze_sequence_products(seq, cfg, workers=workers)
-    return bands
-
-
-def synthesize_sequence(
-    bands: SequenceBands, cfg: LiftConfig, workers: int = 1
-) -> Sequence:
+def synthesize_sequence(bands: SequenceBands, cfg: LiftConfig) -> Sequence:
     """Bit-exact reconstruction of the original sequence."""
-    pairs = [
-        SubbandPair(lp, hp, mf, bands.update_mode)
-        for lp, hp, mf in zip(bands.lowpass, bands.highpass, bands.motion_fields)
-    ]
-
-    def synth(pair: SubbandPair) -> tuple[Frame, Frame]:
-        return synthesize_pair(pair, cfg)
-
-    if workers > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(synth, pairs))
-    else:
-        results = [synth(p) for p in pairs]
-
     frames: list[Frame] = []
-    for reference, current in results:
-        frames.extend((reference, current))
+    for lp, hp, mf in zip(bands.lowpass, bands.highpass, bands.motion_fields):
+        frames.extend(synthesize_pair(SubbandPair(lp, hp, mf, bands.update_mode), cfg))
     if bands.has_trailing:
         frames.append(bands.lowpass[-1])
     return Sequence(tuple(frames), axis_label=bands.axis_label)

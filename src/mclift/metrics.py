@@ -115,10 +115,3 @@ def raw_frame_bytes(frame: Frame) -> int:
     """Size of the frame in its raw storage format (1 or 2 bytes a sample)."""
     per_sample = 1 if frame.bit_depth <= 8 else 2
     return frame.width * frame.height * per_sample
-
-
-def first_order_entropy(frame: Frame) -> float:
-    """Shannon entropy of the sample histogram, in bits per sample."""
-    _, counts = np.unique(frame.samples, return_counts=True)
-    p = counts / frame.samples.size
-    return float(-np.sum(p * np.log2(p)))

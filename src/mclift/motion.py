@@ -29,13 +29,13 @@ How the search does its work:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     DataFormatError,
     Frame,
+    LiftConfig,
     MotionField,
     MotionVector,
     grid_dims,
@@ -43,18 +43,6 @@ from .core import (
 
 _HEADER = struct.Struct("<HHH")
 _VECTOR = struct.Struct("<hh")
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    block_size: int = 16
-    search_range: int = 15
-
-    def __post_init__(self) -> None:
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
-        if self.search_range < 0:
-            raise ValueError("search_range must be >= 0")
 
 
 def block_ssd(
@@ -103,12 +91,13 @@ def _valid_blocks(
     return (int(ok[0]), int(ok[-1]) + 1) if ok.size else (0, 0)
 
 
-def estimate_motion(current: Frame, reference: Frame, cfg: SearchConfig) -> MotionField:
+def estimate_motion(current: Frame, reference: Frame, cfg: LiftConfig) -> MotionField:
     """Exhaustive SSD search for every block of the current frame.
 
     Candidate displacements that would read outside the reference frame are
     excluded, which keeps compensation and its inversion symmetric. Boundary
-    blocks are matched over their clipped extent.
+    blocks are matched over their clipped extent. Only cfg.block_size and
+    cfg.search_range are read.
     """
     if not current.same_geometry(reference):
         raise ValueError("current and reference frames must share geometry")

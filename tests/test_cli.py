@@ -2,6 +2,8 @@ import csv
 import json
 from pathlib import Path
 
+import pytest
+
 from mclift.cli import COMPARE_COLUMNS, METRICS_COLUMNS, main
 from mclift.io import read_dataset
 
@@ -101,14 +103,21 @@ def test_analyze_writes_metrics_csv_with_infinite_psnr(tmp_path):
     assert rows[0]["mode"] == "block+fse"
 
 
-def test_threads_do_not_change_container(tmp_path):
-    sidecar = gen(tmp_path, "flash_disocclusion", frames=6, seed=11)
-    out1 = tmp_path / "t1.mclf"
-    out3 = tmp_path / "t3.mclf"
-    common = ["--input", sidecar, "--mode", "block+fse", *FAST_FSE]
-    assert run("analyze", *common, "--output", out1, "--threads", "1") == 0
-    assert run("analyze", *common, "--output", out3, "--threads", "3") == 0
-    assert out1.read_bytes() == out3.read_bytes()
+@pytest.mark.parametrize(
+    "flag,value",
+    [("mode", "block"), ("block-size", "8"), ("search-range", "4"), ("threads", "1")],
+)
+def test_synthesize_rejects_flags_it_does_not_read(tmp_path, flag, value):
+    # The update mode and the motion come from the container, and there is
+    # no thread count to set.
+    sidecar = gen(tmp_path, "constant", width=32, height=32, frames=2)
+    container = tmp_path / "c.mclf"
+    assert run("analyze", "--input", sidecar, "--output", container, *FAST_FSE) == 0
+    recon = tmp_path / "r.raw"
+    common = ["synthesize", "--input", container, "--output", recon, *FAST_FSE]
+    assert run(*common, f"--{flag}", value) == 1
+    assert not recon.exists()
+    assert run(*common) == 0
 
 
 def test_compare_header_and_direction(tmp_path):
@@ -119,7 +128,7 @@ def test_compare_header_and_direction(tmp_path):
         "--modes", "block,block+fse", "--fse-iters", "300",
     ) == 0
     header = out.read_text().splitlines()[0]
-    assert header == "mode,total_bytes,lowpass_bytes,highpass_bytes,motion_bytes,mean_lp_psnr_db,boundary_step"
+    assert header == "mode,total_bytes,lowpass_bytes,highpass_bytes,motion_bytes,mean_lowpass_psnr_db,boundary_step"
     rows = {r["mode"]: r for r in read_rows(out)}
     assert set(rows) == {"block", "block+fse"}
     assert float(rows["block+fse"]["boundary_step"]) < float(rows["block"]["boundary_step"])

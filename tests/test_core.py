@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -13,7 +11,6 @@ from mclift.core import (
     Sequence,
     UpdateField,
     floor_samples,
-    floor_scale,
     grid_dims,
     iter_blocks,
 )
@@ -24,25 +21,19 @@ from mclift.core import (
     [(2.5, 2), (-2.5, -3), (7.0, 7), (-0.0001, -1), (0.0, 0)],
 )
 def test_floor_scale_examples(value, expected):
-    assert floor_scale(value) == expected
-
-
-def test_floor_scale_rejects_non_finite():
-    with pytest.raises(ValueError):
-        floor_scale(math.inf)
-    with pytest.raises(ValueError):
-        floor_scale(math.nan)
-
-
-@given(st.floats(allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12))
-def test_floor_scale_bracket(x):
-    f = floor_scale(x)
-    assert f <= x < f + 1
+    # A scaled prediction or update value floors toward minus infinity.
+    assert floor_samples(np.array([[value]])).tolist() == [[expected]]
 
 
 def test_floor_samples_matches_scalar():
-    vals = np.array([[2.5, -2.5, 7.0, -0.75]])
-    assert floor_samples(vals).tolist() == [[2, -3, 7, -1]]
+    vals = np.array([[2.5, -2.5, 7.0, -0.75], [-0.0001, 0.0, -0.0, 1e-300]])
+    assert floor_samples(vals).tolist() == [[2, -3, 7, -1], [-1, 0, 0, 0]]
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12))
+def test_floor_samples_bracket(x):
+    f = int(floor_samples(np.array([[x]]))[0, 0])
+    assert f <= x < f + 1
 
 
 def test_frame_validation():
@@ -71,7 +62,8 @@ def test_frame_is_immutable_and_comparable():
 
 def test_frame_accepts_subband_range():
     hp = Frame(np.array([[-256, 256]], dtype=np.int32), 8)
-    assert not hp.in_original_range()
+    assert hp.samples.tolist() == [[-256, 256]]
+    assert hp.samples.min() < 0 and hp.samples.max() > hp.max_value
 
 
 def test_sequence_validation():
@@ -106,8 +98,8 @@ def test_grid_dims_and_clipped_blocks():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"fft_size": 48},                     # not a power of two
-        {"fft_size": 32},                     # smaller than tile + 2*border
+        {"tile_size": 0},
+        {"border": -1},
         {"decay_rho": 1.0},
         {"decay_rho": 0.0},
         {"orth_gamma": 0.0},
@@ -119,6 +111,17 @@ def test_grid_dims_and_clipped_blocks():
 def test_fse_params_validation(kwargs):
     with pytest.raises(ValueError):
         FseParams(**kwargs)
+
+
+def test_fse_params_derive_fft_size():
+    assert FseParams().fft_size == 64
+    assert FseParams(tile_size=8, border=8).fft_size == 32
+    assert FseParams(tile_size=8, border=4).fft_size == 16
+    assert FseParams(tile_size=4, border=4).fft_size == 16
+    assert FseParams(tile_size=16, border=17).fft_size == 64
+    assert FseParams(tile_size=17, border=16).fft_size == 64
+    assert FseParams(tile_size=1, border=0).fft_size == 1
+    assert FseParams(tile_size=3, border=0).fft_size == 4
 
 
 def test_lift_config_validation():

@@ -79,8 +79,7 @@ def digests(tmp_path, kind: str, mode: str) -> tuple[str, str]:
     recon = tmp_path / "recon.raw"
     assert main(["analyze", "--input", str(sidecar), "--output", str(container),
                  "--mode", mode]) == 0
-    assert main(["synthesize", "--input", str(container), "--output", str(recon),
-                 "--mode", mode]) == 0
+    assert main(["synthesize", "--input", str(container), "--output", str(recon)]) == 0
     assert recon.read_bytes() == (tmp_path / f"{kind}.raw").read_bytes()
     return _sha256(container), _sha256(recon)
 

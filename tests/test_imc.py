@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mclift.core import Frame, MotionField, MotionVector, iter_blocks
+from mclift.core import Frame, LiftConfig, MotionField, MotionVector, iter_blocks
 from mclift.imc import apply_connectivity_weights, connectivity_stats, imc_scatter
-from mclift.motion import SearchConfig, estimate_motion
+from mclift.motion import estimate_motion
 
 from conftest import make_frame, make_pair
 
@@ -139,7 +139,7 @@ def test_weighting_is_linear_on_covered_pixels(rng):
 
 def test_weights_from_real_motion_search(rng):
     cur, ref = make_pair(rng, 48, 32, 8)
-    field = estimate_motion(cur, ref, SearchConfig(16, 4))
+    field = estimate_motion(cur, ref, LiftConfig(16, 4))
     accum, conn = imc_scatter(
         Frame(cur.samples - ref.samples, 8), field
     )

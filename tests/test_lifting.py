@@ -19,7 +19,6 @@ from mclift.lifting import (
     analyze_highpass,
     analyze_lowpass,
     analyze_pair,
-    analyze_pair_products,
     analyze_sequence,
     container_from_bytes,
     container_to_bytes,
@@ -32,7 +31,7 @@ from mclift.lifting import (
 
 from conftest import make_frame, make_pair
 
-FAST_FSE = FseParams(tile_size=8, border=8, fft_size=32, max_iterations=40)
+FAST_FSE = FseParams(tile_size=8, border=8, max_iterations=40)
 
 
 def fast_cfg(mode=UpdateMode.FSE_FILL, block_size=16, search_range=4):
@@ -141,7 +140,7 @@ def test_pointwise_steps_reject_mismatched_dims(rng):
 
 def test_analyze_pair_identical_frames(rng):
     f = make_frame(rng, 48, 32, 8)
-    bands = analyze_pair(f, f, fast_cfg())
+    bands = analyze_pair(f, f, fast_cfg()).subbands
     assert np.all(bands.highpass.samples == 0)
     assert all(v == MotionVector(0, 0) for v in bands.motion.vectors)
     assert bands.lowpass == f
@@ -151,7 +150,7 @@ def test_analyze_pair_translated_content(rng):
     tex = rng.integers(0, 256, size=(48, 64), dtype=np.int32)
     ref = Frame(tex, 8)
     cur = Frame(np.roll(np.roll(tex, -2, axis=0), -3, axis=1), 8)
-    products = analyze_pair_products(ref, cur, fast_cfg(UpdateMode.COPY_UNCONNECTED, 16, 6))
+    products = analyze_pair(ref, cur, fast_cfg(UpdateMode.COPY_UNCONNECTED, 16, 6))
     hp = products.subbands.highpass.samples
     for blk_y in range(0, 48 - 16 - 2, 16):
         for blk_x in range(0, 64 - 16 - 3, 16):
@@ -167,7 +166,7 @@ def test_pair_round_trip(mode, bit_depth):
     rng = np.random.default_rng(hash((mode.value, bit_depth)) % 2**32)
     ref, cur = make_pair(rng, 40, 40, bit_depth)
     cfg = fast_cfg(mode)
-    bands = analyze_pair(ref, cur, cfg)
+    bands = analyze_pair(ref, cur, cfg).subbands
     got_ref, got_cur = synthesize_pair(bands, cfg)
     assert got_ref == ref
     assert got_cur == cur
@@ -188,9 +187,9 @@ def test_pair_round_trip_property(data, bit_depth, mode):
         block_size=data.draw(st.sampled_from([4, 8])),
         search_range=data.draw(st.integers(0, 3)),
         update_mode=mode,
-        fse=FseParams(tile_size=4, border=4, fft_size=16, max_iterations=15),
+        fse=FseParams(tile_size=4, border=4, max_iterations=15),
     )
-    bands = analyze_pair(ref, cur, cfg)
+    bands = analyze_pair(ref, cur, cfg).subbands
     got_ref, got_cur = synthesize_pair(bands, cfg)
     assert got_ref == ref and got_cur == cur
 
@@ -207,7 +206,7 @@ def test_degenerate_synthesis_no_update_zero_highpass(rng):
 
 def test_analyze_sequence_identical_two_frames(rng):
     f = make_frame(rng, 32, 32, 8)
-    bands = analyze_sequence(Sequence((f, f)), fast_cfg())
+    bands, _ = analyze_sequence(Sequence((f, f)), fast_cfg())
     assert len(bands.lowpass) == 1 and len(bands.highpass) == 1
     assert not bands.has_trailing
     assert bands.lowpass[0] == f
@@ -216,7 +215,7 @@ def test_analyze_sequence_identical_two_frames(rng):
 
 def test_analyze_sequence_odd_length_pairing(rng):
     frames = tuple(make_frame(rng, 24, 24, 8) for _ in range(5))
-    bands = analyze_sequence(Sequence(frames), fast_cfg())
+    bands, _ = analyze_sequence(Sequence(frames), fast_cfg())
     assert len(bands.lowpass) == 3
     assert len(bands.highpass) == 2
     assert bands.has_trailing
@@ -230,28 +229,17 @@ def test_sequence_round_trip(length, mode):
     frames = tuple(make_frame(rng, 33, 25, 12) for _ in range(length))
     seq = Sequence(frames, axis_label="slice")
     cfg = fast_cfg(mode, block_size=8, search_range=3)
-    bands = analyze_sequence(seq, cfg)
+    bands, _ = analyze_sequence(seq, cfg)
     back = synthesize_sequence(bands, cfg)
     assert len(back) == length
     assert back.axis_label == "slice"
     assert all(a == b for a, b in zip(back, seq))
 
 
-def test_sequence_workers_do_not_change_output(rng):
-    frames = tuple(make_frame(rng, 32, 32, 8) for _ in range(6))
-    seq = Sequence(frames)
-    cfg = fast_cfg()
-    solo = analyze_sequence(seq, cfg, workers=1)
-    multi = analyze_sequence(seq, cfg, workers=4)
-    assert all(a == b for a, b in zip(solo.lowpass, multi.lowpass))
-    assert all(a == b for a, b in zip(solo.highpass, multi.highpass))
-    assert solo.motion_fields == multi.motion_fields
-
-
 def test_container_round_trip(rng, tmp_path):
     frames = tuple(make_frame(rng, 33, 18, 12) for _ in range(5))
     cfg = fast_cfg(UpdateMode.COPY_UNCONNECTED, block_size=8, search_range=2)
-    bands = analyze_sequence(Sequence(frames), cfg)
+    bands, _ = analyze_sequence(Sequence(frames), cfg)
     path = tmp_path / "bands.mclf"
     write_container(path, bands)
     parsed = read_container(path)
@@ -267,7 +255,7 @@ def test_container_round_trip(rng, tmp_path):
 
 def test_container_rejects_corruption(rng):
     frames = tuple(make_frame(rng, 16, 16, 8) for _ in range(2))
-    bands = analyze_sequence(Sequence(frames), fast_cfg())
+    bands, _ = analyze_sequence(Sequence(frames), fast_cfg())
     payload = container_to_bytes(bands)
 
     with pytest.raises(DataFormatError, match="magic"):

@@ -10,7 +10,6 @@ from mclift.metrics import (
     boundary_step_metric,
     decode_lossless,
     encode_lossless,
-    first_order_entropy,
     psnr,
     raw_frame_bytes,
 )
@@ -113,27 +112,6 @@ def test_codec_rejects_garbage():
     payload[-1] ^= 0xFF
     with pytest.raises(DataFormatError):
         decode_lossless(bytes(payload))
-
-
-def test_entropy_examples():
-    assert first_order_entropy(Frame(np.full((7, 9), 4, dtype=np.int32), 8)) == 0.0
-    half = Frame(np.array([[0, 1], [1, 0]], dtype=np.int32), 8)
-    assert first_order_entropy(half) == pytest.approx(1.0)
-    uniform = Frame(np.arange(256, dtype=np.int32).reshape(16, 16), 8)
-    assert first_order_entropy(uniform) == pytest.approx(8.0)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    hnp.arrays(
-        np.int32,
-        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=16),
-        elements=st.integers(0, 255),
-    )
-)
-def test_entropy_bounded_by_bit_depth(samples):
-    value = first_order_entropy(Frame(samples, 8))
-    assert 0.0 <= value <= 8.0 + 1e-12
 
 
 @settings(max_examples=30, deadline=None)

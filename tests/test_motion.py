@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from mclift.core import DataFormatError, Frame, MotionVector
+from mclift.core import DataFormatError, Frame, LiftConfig, MotionVector
 from mclift.motion import (
-    SearchConfig,
     block_ssd,
     estimate_motion,
     motion_from_bytes,
@@ -65,13 +64,13 @@ def test_block_ssd_out_of_bounds():
 
 def test_identical_frames_give_zero_vectors(rng):
     f = make_frame(rng, 32, 24, 8)
-    field = estimate_motion(f, f, SearchConfig(8, 4))
+    field = estimate_motion(f, f, LiftConfig(8, 4))
     assert all(v == MotionVector(0, 0) for v in field.vectors)
 
 
 def test_flat_frames_tiebreak_to_zero(rng):
     f = Frame(np.full((32, 32), 77, dtype=np.int32), 8)
-    field = estimate_motion(f, f, SearchConfig(16, 6))
+    field = estimate_motion(f, f, LiftConfig(16, 6))
     assert all(v == MotionVector(0, 0) for v in field.vectors)
 
 
@@ -80,7 +79,7 @@ def test_translated_pair_recovers_shift(rng):
     tex = rng.integers(0, 256, size=(40, 48), dtype=np.int32)
     ref = Frame(tex, 8)
     cur = Frame(np.roll(np.roll(tex, -2, axis=0), -5, axis=1), 8)
-    field = estimate_motion(cur, ref, SearchConfig(8, 15))
+    field = estimate_motion(cur, ref, LiftConfig(8, 15))
     for by in range(field.blocks_y):
         for bx in range(field.blocks_x):
             x0, y0 = bx * 8, by * 8
@@ -94,11 +93,11 @@ def test_dimension_mismatch_rejected(rng):
     a = make_frame(rng, 16, 16, 8)
     b = make_frame(rng, 16, 17, 8)
     with pytest.raises(ValueError):
-        estimate_motion(a, b, SearchConfig(8, 2))
+        estimate_motion(a, b, LiftConfig(8, 2))
 
 
 def assert_matches_oracle(cur: Frame, ref: Frame, block_size: int, search_range: int):
-    field = estimate_motion(cur, ref, SearchConfig(block_size, search_range))
+    field = estimate_motion(cur, ref, LiftConfig(block_size, search_range))
     expected, costs = oracle_search(cur, ref, block_size, search_range)
     assert list(field.vectors) == expected
     for blk_index, v in enumerate(field.vectors):
@@ -176,7 +175,7 @@ def test_cost_non_increasing_with_range(rng):
     cur, ref = make_pair(rng, 40, 40, 8)
     previous = None
     for search_range in (0, 1, 2, 4, 6):
-        field = estimate_motion(cur, ref, SearchConfig(8, search_range))
+        field = estimate_motion(cur, ref, LiftConfig(8, search_range))
         total = 0
         for blk_index, v in enumerate(field.vectors):
             by, bx = divmod(blk_index, field.blocks_x)
@@ -188,7 +187,7 @@ def test_cost_non_increasing_with_range(rng):
 
 def test_motion_serialization_round_trip(rng):
     cur, ref = make_pair(rng, 33, 18, 8)
-    field = estimate_motion(cur, ref, SearchConfig(16, 3))
+    field = estimate_motion(cur, ref, LiftConfig(16, 3))
     payload = motion_to_bytes(field)
     parsed, consumed = motion_from_bytes(payload)
     assert consumed == len(payload)
@@ -199,7 +198,7 @@ def test_motion_deserialization_truncation():
     f = estimate_motion(
         Frame(np.zeros((16, 16), dtype=np.int32), 8),
         Frame(np.zeros((16, 16), dtype=np.int32), 8),
-        SearchConfig(8, 1),
+        LiftConfig(8, 1),
     )
     payload = motion_to_bytes(f)
     with pytest.raises(DataFormatError, match="truncated"):

@@ -11,6 +11,7 @@ import csv
 import math
 import sys
 from dataclasses import replace
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from .io import (
     read_dataset,
     sha256_hex,
     write_dataset,
+    write_file,
     write_heatmap,
     write_pgm,
     write_pgm16,
@@ -161,11 +163,12 @@ def _sequence_report(
 
 
 def _write_csv(path, columns: tuple[str, ...], rows: list[dict[str, object]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row[c] for c in columns])
+    text = StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([row[c] for c in columns])
+    write_file(path, text.getvalue().encode("utf-8"))
 
 
 def _clip_to_range(frame: Frame) -> Frame:

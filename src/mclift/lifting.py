@@ -35,6 +35,7 @@ from .core import (
 )
 from .fse import TileStats, fse_reconstruct
 from .imc import apply_connectivity_weights, imc_scatter
+from .io import write_file
 from .motion import estimate_motion, motion_from_bytes, motion_to_bytes
 
 _CONTAINER_MAGIC = b"MCLF"
@@ -360,8 +361,7 @@ def container_from_bytes(data: bytes) -> SequenceBands:
 
 
 def write_container(path, bands: SequenceBands) -> None:
-    with open(path, "wb") as fh:
-        fh.write(container_to_bytes(bands))
+    write_file(path, container_to_bytes(bands))
 
 
 def read_container(path) -> SequenceBands:

@@ -208,10 +208,12 @@ def test_criterion_6_fse_properties():
     # (e) invariant to tile processing order
     reordered = field.values.copy()
     for plan in reversed(plan_tiles(holes, params)):
-        fill, _ = _fill_one_tile(plan, field.values, holes, weight_grid(params), params)
         hy, hx = np.nonzero(
             holes[plan.tile_y : plan.tile_y + plan.tile_h,
                   plan.tile_x : plan.tile_x + plan.tile_w]
+        )
+        fill, _ = _fill_one_tile(
+            plan, hy, hx, field.values, holes, weight_grid(params), params
         )
         reordered[plan.tile_y + hy, plan.tile_x + hx] = fill
     assert np.array_equal(reordered, filled.values)

@@ -173,3 +173,35 @@ def test_dump_diagnostics_writes_images(tmp_path):
             "lowpass_000.pgm", "highpass_000.pgm", "fse_trace.csv"} <= names
     trace = read_rows(diag / "fse_trace.csv")
     assert {"pair", "tile_y", "tile_x", "iteration", "energy"} == set(trace[0].keys())
+
+
+def round_trip_outputs(directory: Path, width: int, height: int, frames: int) -> dict:
+    """gen-fixture, analyze (with diagnostics) and synthesize into fixed
+    paths under `directory`; returns the bytes of every file the run wrote."""
+    sidecar = gen(directory, "flash_disocclusion", width=width, height=height,
+                  frames=frames, seed=3)
+    container = directory / "bands.mclf"
+    diag = directory / "diag"
+    assert run(
+        "analyze", "--input", sidecar, "--output", container,
+        "--dump-diagnostics", diag, *FAST_FSE,
+    ) == 0
+    recon = directory / "recon.raw"
+    assert run("synthesize", "--input", container, "--output", recon, *FAST_FSE) == 0
+    names = ["data.json", "data.raw", "bands.mclf", "bands.mclf.metrics.csv",
+             "recon.raw", "recon.raw.json"]
+    names += [f"diag/{p.name}" for p in diag.iterdir()]
+    return {name: (directory / name).read_bytes() for name in names}
+
+
+def test_rerun_over_larger_outputs_matches_fresh_run(tmp_path):
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    reused.mkdir()
+    fresh.mkdir()
+    larger = round_trip_outputs(reused, 144, 112, 5)
+    over = round_trip_outputs(reused, 80, 80, 2)
+    clean = round_trip_outputs(fresh, 80, 80, 2)
+    assert set(clean) <= set(over)
+    for name, payload in clean.items():
+        assert len(larger[name]) > len(payload), name
+        assert over[name] == payload, name

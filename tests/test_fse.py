@@ -165,10 +165,12 @@ def test_tile_order_invariance(rng):
 
     out = field.values.copy()
     for plan in reversed(plan_tiles(holes, SMALL)):
-        fill, _ = _fill_one_tile(plan, field.values, holes, weight_grid(SMALL), SMALL)
         hy, hx = np.nonzero(
             holes[plan.tile_y : plan.tile_y + plan.tile_h,
                   plan.tile_x : plan.tile_x + plan.tile_w]
+        )
+        fill, _ = _fill_one_tile(
+            plan, hy, hx, field.values, holes, weight_grid(SMALL), SMALL
         )
         out[plan.tile_y + hy, plan.tile_x + hx] = fill
     assert np.array_equal(out, reference.values)
@@ -184,3 +186,128 @@ def test_degenerate_tile_filled_with_zero(caplog):
     assert np.all(out.values == 0.0)
     assert all(s.degenerate for s in stats)
     assert any("no available support" in r.message for r in caplog.records)
+
+
+def frozen_tile_iterate(support, available_mask, weight_window, params):
+    """The greedy loop as it stood before its work buffers were reused: a
+    frozen reference that the coefficient grid and the energy trace of
+    `fse_tile_iterate` must match bit for bit."""
+    size = params.fft_size
+    avail = np.asarray(available_mask, dtype=bool)
+    w = np.where(avail, np.asarray(weight_window, dtype=np.float64), 0.0)
+    f = np.where(avail, np.asarray(support, dtype=np.float64), 0.0)
+
+    window_spectrum = np.fft.fft2(w)
+    tiled = np.tile(window_spectrum, (2, 2))
+
+    def shifted(uy, ux):
+        return tiled[size - uy : 2 * size - uy, size - ux : 2 * size - ux]
+
+    w_total = float(window_spectrum[0, 0].real)
+    residual_spectrum = np.fft.fft2(w * f)
+    coeffs = np.zeros((size, size), dtype=np.complex128)
+
+    energy = float(np.sum(w * f * f))
+    trace = [energy]
+    threshold = params.stop_epsilon * energy
+
+    iterations = 0
+    while iterations < params.max_iterations and energy > threshold:
+        mag2 = residual_spectrum.real**2 + residual_spectrum.imag**2
+        idx = int(np.argmax(mag2))
+        uy, ux = divmod(idx, size)
+        if mag2[uy, ux] == 0.0:
+            break
+        conj_uy, conj_ux = (-uy) % size, (-ux) % size
+        projection = residual_spectrum[uy, ux]
+        if (uy, ux) == (conj_uy, conj_ux):
+            step = params.orth_gamma * projection.real / w_total
+            coeffs[uy, ux] += step
+            residual_spectrum -= step * shifted(uy, ux)
+            energy += step * step * w_total - 2.0 * step * projection.real
+        else:
+            step = params.orth_gamma * projection / w_total
+            coeffs[uy, ux] += step
+            coeffs[conj_uy, conj_ux] += step.conjugate()
+            residual_spectrum -= step * shifted(uy, ux)
+            residual_spectrum -= step.conjugate() * shifted(conj_uy, conj_ux)
+            w_double = window_spectrum[(2 * uy) % size, (2 * ux) % size]
+            energy += (
+                -4.0 * (step.conjugate() * projection).real
+                + 2.0 * (step * step.conjugate()).real * w_total
+                + 2.0 * (step * step * w_double.conjugate()).real
+            )
+        energy = max(energy, 0.0)
+        trace.append(energy)
+        iterations += 1
+
+    return coeffs, trace
+
+
+def assert_matches_frozen(support, avail, window, params):
+    grid, trace = fse_tile_iterate(support, avail, window, params)
+    ref_grid, ref_trace = frozen_tile_iterate(support, avail, window, params)
+    assert np.array_equal(grid, ref_grid)
+    assert trace == ref_trace
+    return grid, trace
+
+
+@pytest.mark.parametrize(
+    "seed,params",
+    [
+        (0, FseParams(max_iterations=300, stop_epsilon=0.0)),
+        (1, FseParams(max_iterations=300, stop_epsilon=0.0)),
+        (2, FseParams(max_iterations=300, orth_gamma=1.0)),
+        (3, FseParams(tile_size=8, border=8, max_iterations=400, stop_epsilon=0.0)),
+        (4, FseParams(tile_size=8, border=4, max_iterations=200, decay_rho=0.6)),
+    ],
+)
+def test_iterate_matches_frozen_on_random_tiles(seed, params):
+    rng = np.random.default_rng(seed)
+    size = params.fft_size
+    support = rng.normal(scale=30.0, size=(size, size))
+    avail = rng.random((size, size)) > 0.3
+    _, trace = assert_matches_frozen(support, avail, weight_grid(params), params)
+    assert len(trace) > 100
+
+
+def test_iterate_matches_frozen_on_self_conjugate_maxima():
+    # A constant support peaks at the DC bin, a checkerboard at the
+    # (size/2, size/2) bin; both are their own conjugate partners.
+    params = FseParams(max_iterations=50, stop_epsilon=0.0)
+    size = params.fft_size
+    yy, xx = np.mgrid[0:size, 0:size]
+    avail = np.zeros((size, size), dtype=bool)
+    avail[8:56, 8:56] = True
+    avail[28:36, 28:36] = False
+    for support, first in (
+        (np.full((size, size), 9.5), (0, 0)),
+        (40.0 * (-1.0) ** (yy + xx), (size // 2, size // 2)),
+    ):
+        params1 = FseParams(max_iterations=1, stop_epsilon=0.0)
+        grid1, _ = assert_matches_frozen(support, avail, weight_grid(params1), params1)
+        assert np.argwhere(grid1).tolist() == [list(first)]
+        assert_matches_frozen(support, avail, weight_grid(params), params)
+
+
+def test_iterate_matches_frozen_on_early_stop():
+    params = FseParams(tile_size=8, border=8, max_iterations=1000, stop_epsilon=0.05)
+    rng = np.random.default_rng(11)
+    support = rng.normal(scale=10.0, size=(32, 32))
+    avail = rng.random((32, 32)) > 0.4
+    _, trace = assert_matches_frozen(support, avail, weight_grid(params), params)
+    assert 1 < len(trace) - 1 < params.max_iterations
+    assert trace[-1] <= params.stop_epsilon * trace[0] < trace[-2]
+
+
+def test_iterate_matches_frozen_on_zero_spectrum_break():
+    # The weighted sample is so small that its squared spectrum underflows
+    # to zero while the energy does not: the loop stops at the mag2 == 0
+    # check, not at the energy threshold.
+    params = FseParams(tile_size=8, border=8, max_iterations=10, stop_epsilon=0.0)
+    avail = np.zeros((32, 32), dtype=bool)
+    avail[3, 5] = True
+    window = np.full((32, 32), 1e-170)
+    grid, trace = assert_matches_frozen(np.ones((32, 32)), avail, window, params)
+    assert trace == [1e-170]
+    assert not grid.any()

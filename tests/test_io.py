@@ -1,8 +1,12 @@
+import ast
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mclift
 from mclift.core import ConnectivityMap, DataFormatError, Frame, Sequence, UpdateField
 from mclift.io import (
     read_dataset,
@@ -10,6 +14,7 @@ from mclift.io import (
     read_ppm,
     read_raw_sequence,
     write_dataset,
+    write_file,
     write_heatmap,
     write_pgm,
     write_pgm16,
@@ -162,3 +167,100 @@ def test_heatmap_connectivity_map(tmp_path):
     assert rgb[0, 0].tolist() == [255, 255, 255]  # unconnected stays white
     assert rgb[0, 1].tolist() == [0, 255, 0]      # one-connected is the baseline
     assert rgb[0, 2].tolist() == [255, 0, 0]      # strongest overlap is red
+
+
+def test_write_file_over_longer_file_leaves_only_new_bytes(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"x" * 5000)
+    inode = path.stat().st_ino
+    write_file(path, b"short")
+    assert path.read_bytes() == b"short"
+    assert path.stat().st_ino == inode
+    write_file(path, b"")
+    assert path.read_bytes() == b""
+
+
+def test_write_file_creates_with_umask_applied(tmp_path):
+    old = os.umask(0o027)
+    try:
+        write_file(tmp_path / "new.bin", b"abc")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "new.bin").stat().st_mode & 0o777 == 0o666 & ~0o027
+
+
+def test_write_file_writes_through_symlink(tmp_path):
+    target = tmp_path / "target.bin"
+    target.write_bytes(b"old contents")
+    link = tmp_path / "link.bin"
+    link.symlink_to(target)
+    write_file(link, b"new")
+    assert link.is_symlink()
+    assert target.read_bytes() == b"new"
+
+
+def test_write_file_to_character_device():
+    write_file("/dev/null", b"discarded")
+
+
+def _writes_outside_write_file(source: str) -> list[int]:
+    """Line numbers of calls that write a file other than through the body
+    of `write_file`: write_bytes, write_text, os.open, or open with a
+    writing (or non-literal) mode."""
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside or node.name == "write_file"
+        if isinstance(node, ast.Call) and not inside:
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in ("write_bytes", "write_text"):
+                found.append(node.lineno)
+            elif name == "open":
+                if isinstance(func, ast.Attribute) and getattr(func.value, "id", "") == "os":
+                    found.append(node.lineno)
+                else:
+                    modes = [kw.value for kw in node.keywords if kw.arg == "mode"]
+                    modes += node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+                    for mode in modes:
+                        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or (
+                            set(mode.value) & set("wax+")
+                        ):
+                            found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_every_file_write_goes_through_write_file():
+    package = Path(mclift.__file__).parent
+    offenders = {
+        path.name: lines
+        for path in sorted(package.glob("*.py"))
+        if (lines := _writes_outside_write_file(path.read_text()))
+    }
+    assert offenders == {}
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "Path(p).write_bytes(b'')",
+        "p.write_text('x')",
+        "open(p, 'w')",
+        "open(p, mode='ab')",
+        "open(p, m)",
+        "os.open(p, os.O_WRONLY)",
+        "p.open('w')",
+    ],
+)
+def test_write_guard_flags_other_writers(line):
+    assert _writes_outside_write_file(f"def f(p, m):\n    {line}\n") == [2]
+
+
+def test_write_guard_allows_reads():
+    source = "def f(p):\n    open(p)\n    open(p, 'rb')\n    p.open()\n"
+    assert _writes_outside_write_file(source) == []

@@ -18,6 +18,8 @@ import numpy as np
 from .core import ConnectivityMap, DataFormatError, Frame, Sequence, UpdateField
 
 SIDECAR_KEYS = ("width", "height", "bit_depth", "frames", "axis", "data")
+# JSON type of each sidecar value: four integers, then two strings.
+_SIDECAR_TYPES = dict(zip(SIDECAR_KEYS, (int, int, int, int, str, str)))
 
 
 def _bytes_per_sample(bit_depth: int) -> int:
@@ -44,7 +46,7 @@ def frames_from_raw(
         flat = np.frombuffer(
             data, dtype=dtype, count=width * height, offset=i * frame_bytes
         )
-        if bps == 2 and flat.max(initial=0) >= limit:
+        if flat.max(initial=0) >= limit:
             raise DataFormatError(
                 f"frame {i}: sample {int(flat.max())} out of range for "
                 f"{bit_depth}-bit data"
@@ -132,16 +134,26 @@ def read_dataset(sidecar_path) -> Sequence:
         meta = json.loads(sidecar.read_text())
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"sidecar {sidecar} is not valid JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise DataFormatError(f"sidecar {sidecar} is not a JSON object")
     missing = [k for k in SIDECAR_KEYS if k not in meta]
     if missing:
         raise DataFormatError(f"sidecar {sidecar} missing keys: {missing}")
+    for key, kind in _SIDECAR_TYPES.items():
+        value = meta[key]
+        # bool is a subclass of int, but true/false is no frame count.
+        if not isinstance(value, kind) or isinstance(value, bool):
+            name = "an integer" if kind is int else "a string"
+            raise DataFormatError(
+                f"sidecar {sidecar}: {key!r} must be {name}, got {value!r}"
+            )
     return read_raw_sequence(
         sidecar.parent / meta["data"],
-        int(meta["width"]),
-        int(meta["height"]),
-        int(meta["bit_depth"]),
-        int(meta["frames"]),
-        axis_label=str(meta["axis"]),
+        meta["width"],
+        meta["height"],
+        meta["bit_depth"],
+        meta["frames"],
+        axis_label=meta["axis"],
     )
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from mclift.cli import COMPARE_COLUMNS, METRICS_COLUMNS, main
-from mclift.io import read_dataset
+from mclift.io import SIDECAR_KEYS, read_dataset
 
 FAST_FSE = ["--fse-tile", "8", "--fse-border", "8", "--fse-iters", "60"]
 
@@ -85,6 +85,38 @@ def test_analyze_missing_input_is_data_error(tmp_path):
     assert run(
         "analyze", "--input", tmp_path / "nope.json", "--output", tmp_path / "o.mclf"
     ) == 2
+
+
+def test_analyze_out_of_range_low_depth_sample_is_data_error(tmp_path):
+    # A 4-bit dataset holding 200 used to analyse (exit 0) into a container
+    # that synthesize then refused.
+    sidecar = gen(tmp_path, "constant", width=8, height=8, frames=2, bit_depth=4)
+    raw = bytearray((tmp_path / "data.raw").read_bytes())
+    raw[5] = 200
+    (tmp_path / "data.raw").write_bytes(bytes(raw))
+    container = tmp_path / "o.mclf"
+    assert run("analyze", "--input", sidecar, "--output", container) == 2
+    assert not container.exists()
+
+
+@pytest.mark.parametrize("key", SIDECAR_KEYS)
+@pytest.mark.parametrize("value", [None, True, 2.0, [], "x"])
+def test_analyze_ill_typed_sidecar_value_is_data_error(tmp_path, capsys, key, value):
+    sidecar = gen(tmp_path, "constant", width=8, height=8, frames=2)
+    meta = json.loads(sidecar.read_text())
+    if isinstance(meta[key], str) and isinstance(value, str):
+        value = 7  # a number where a string belongs
+    meta[key] = value
+    sidecar.write_text(json.dumps(meta))
+    assert run("analyze", "--input", sidecar, "--output", tmp_path / "o.mclf") == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_analyze_sidecar_not_an_object_is_data_error(tmp_path):
+    # A list that holds every key name passes a membership test.
+    sidecar = tmp_path / "list.json"
+    sidecar.write_text(json.dumps(list(SIDECAR_KEYS)))
+    assert run("analyze", "--input", sidecar, "--output", tmp_path / "o.mclf") == 2
 
 
 def test_synthesize_corrupt_container_is_data_error(tmp_path):

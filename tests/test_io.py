@@ -53,6 +53,19 @@ def test_read_raw_out_of_range_sample(tmp_path):
         read_raw_sequence(path, 1, 1, 12, 1)
 
 
+@pytest.mark.parametrize("bit_depth", [1, 4, 7])
+def test_read_raw_out_of_range_one_byte_sample(tmp_path, bit_depth):
+    # Depths below 8 store one byte per sample; a byte >= 2**bit_depth is
+    # refused at read, not when the container is synthesised.
+    path = tmp_path / "bad.raw"
+    path.write_bytes(bytes([0, 1 << bit_depth, 200]))
+    with pytest.raises(DataFormatError, match="frame 0"):
+        read_raw_sequence(path, 3, 1, bit_depth, 1)
+    path.write_bytes(bytes([0, (1 << bit_depth) - 1, 0]))
+    frame = read_raw_sequence(path, 3, 1, bit_depth, 1)[0]
+    assert frame.samples.max() == (1 << bit_depth) - 1
+
+
 @pytest.mark.parametrize("bit_depth", [8, 12])
 def test_raw_round_trip(tmp_path, bit_depth):
     rng = np.random.default_rng(5 + bit_depth)

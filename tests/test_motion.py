@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mclift import motion
 from mclift.core import DataFormatError, Frame, LiftConfig, MotionVector
 from mclift.motion import (
     block_ssd,
@@ -205,3 +207,138 @@ def test_motion_deserialization_truncation():
         motion_from_bytes(payload[:3])
     with pytest.raises(DataFormatError, match="truncated"):
         motion_from_bytes(payload[:-2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.integers(1, 18),
+    height=st.integers(1, 18),
+    bit_depth=st.integers(1, 16),
+    block_size=st.integers(1, 16),
+    search_range=st.integers(0, 6),
+    texture=st.sampled_from(["noise", "shifted", "two-level"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matches_oracle_property(
+    width, height, bit_depth, block_size, search_range, texture, seed
+):
+    rng = np.random.default_rng(seed)
+    top = (1 << bit_depth) - 1
+    shape = (height, width)
+    ref = rng.integers(0, top + 1, size=shape)
+    if texture == "noise":
+        cur = rng.integers(0, top + 1, size=shape)
+    elif texture == "shifted":
+        cur = np.roll(ref, tuple(rng.integers(-3, 4, size=2)), axis=(0, 1))
+    else:  # extremes only: full-span samples and many exact ties
+        ref = top * rng.integers(0, 2, size=shape)
+        cur = top * rng.integers(0, 2, size=shape)
+    assert_matches_oracle(
+        Frame(cur, bit_depth), Frame(ref, bit_depth), block_size, search_range
+    )
+
+
+def _tie_texture(name: str, width: int, height: int, low: int, high: int):
+    """(current, reference) samples whose best cost is reached by many shifts."""
+    yy, xx = np.indices((height, width))
+    if name == "stripes_x":
+        pattern = xx % 2
+    elif name == "stripes_y":
+        pattern = yy % 2
+    elif name == "checkerboard":
+        pattern = (xx + yy) % 2
+    else:  # flat: two different constants, so every valid shift ties
+        return np.full((height, width), high), np.full((height, width), low + 1)
+    # The reference is the complement, so the zero vector is a worst match
+    # and the winners are the nearest odd shifts, tied in pairs and more.
+    return low + (high - low) * pattern, low + (high - low) * (1 - pattern)
+
+
+def _ties_at_interior_block(cur: Frame, ref: Frame, block_size: int, search_range: int):
+    corner, dims = (block_size, block_size), (block_size, block_size)
+    costs = [
+        block_ssd(cur, ref, corner, dims, MotionVector(dx, dy))
+        for dy in range(-search_range, search_range + 1)
+        for dx in range(-search_range, search_range + 1)
+    ]
+    return costs.count(min(costs))
+
+
+@pytest.mark.parametrize("texture", ["stripes_x", "stripes_y", "checkerboard", "flat"])
+@pytest.mark.parametrize("bit_depth", [1, 8, 16])
+def test_oracle_exact_ties(texture, bit_depth):
+    top = (1 << bit_depth) - 1
+    cur_s, ref_s = _tie_texture(texture, 37, 29, top // 3, top)
+    cur, ref = Frame(cur_s, bit_depth), Frame(ref_s, bit_depth)
+    assert _ties_at_interior_block(cur, ref, 8, 4) > 1
+    assert_matches_oracle(cur, ref, 8, 4)
+
+
+def _spy_on_search_paths(monkeypatch) -> list[str]:
+    calls = []
+    for name in ("_search_fft", "_search_direct"):
+        real = getattr(motion, name)
+
+        def spy(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(motion, name, spy)
+    return calls
+
+
+def test_full_span_16bit_takes_fft_path_at_defaults(monkeypatch):
+    # 16-bit samples at the default block size and range stay below the
+    # bound (0.22 < 0.5), and exact ties must still go to the priority order.
+    cfg = LiftConfig()
+    cur_s, ref_s = _tie_texture("checkerboard", 40, 36, 0, 65535)
+    cur, ref = Frame(cur_s, 16), Frame(ref_s, 16)
+    assert _ties_at_interior_block(cur, ref, 16, 4) > 1
+    calls = _spy_on_search_paths(monkeypatch)
+    assert_matches_oracle(cur, ref, cfg.block_size, cfg.search_range)
+    assert calls == ["_search_fft"]
+
+
+def test_subband_range_takes_direct_path(monkeypatch):
+    # Samples of +-2**20 put the FFT rounding bound far above 0.5.
+    cur_s, ref_s = _tie_texture("stripes_x", 24, 20, -(1 << 20), 1 << 20)
+    cur, ref = Frame(cur_s, 8), Frame(ref_s, 8)
+    calls = _spy_on_search_paths(monkeypatch)
+    assert_matches_oracle(cur, ref, 8, 3)
+    assert calls == ["_search_direct"]
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_path_switches_exactly_at_the_bound(monkeypatch, side):
+    # The largest centred magnitude M with a bound below 0.5 at the
+    # defaults: a pair of span 2M has magnitude M and takes the FFT path,
+    # one of span 2M + 1 has magnitude M + 1 and does not.
+    shape = (motion._fft_length(46), motion._fft_length(46))
+    limit = 1
+    while motion._cross_term_error_bound(limit + 1, 16, shape) < 0.5:
+        limit += 1
+    assert 32768 < limit < 65536
+    cur_s, ref_s = _tie_texture("stripes_y", 33, 35, 0, 2 * limit + side)
+    cur, ref = Frame(cur_s, 16), Frame(ref_s, 16)
+    calls = _spy_on_search_paths(monkeypatch)
+    assert_matches_oracle(cur, ref, 16, 15)
+    assert calls == [["_search_fft"], ["_search_direct"]][side]
+
+
+def test_samples_far_from_zero_are_centred(monkeypatch):
+    # A span of 255 around 2**28 takes the FFT path. Uncentred, products of
+    # 2**28-sized samples would carry rounding errors of thousands and
+    # break the exact ties of this texture at random.
+    base = 1 << 28
+    cur_s, ref_s = _tie_texture("checkerboard", 64, 48, base, base + 255)
+    cur, ref = Frame(cur_s, 8), Frame(ref_s, 8)
+    calls = _spy_on_search_paths(monkeypatch)
+    assert_matches_oracle(cur, ref, 16, 15)
+    assert calls == ["_search_fft"]
+
+
+def test_bound_figures_quoted_in_docstring():
+    shape = (48, 48)
+    for bits, quoted in ((8, 3.4e-6), (12, 8.7e-4), (16, 0.22)):
+        bound = motion._cross_term_error_bound(1 << (bits - 1), 16, shape)
+        assert bound == pytest.approx(quoted, rel=0.02)

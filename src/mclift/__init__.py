@@ -12,6 +12,7 @@ from .core import (
     Sequence,
     UpdateField,
     UpdateMode,
+    VerificationError,
     floor_samples,
 )
 from .fse import TileStats, fse_reconstruct, fse_tile_iterate, plan_tiles
@@ -55,6 +56,7 @@ __all__ = [
     "TileStats",
     "UpdateField",
     "UpdateMode",
+    "VerificationError",
     "analyze_highpass",
     "analyze_lowpass",
     "analyze_pair",

@@ -26,6 +26,7 @@ from .core import (
     MODE_FROM_CLI,
     Sequence,
     UpdateMode,
+    VerificationError,
 )
 from .io import (
     ensure_dir,
@@ -81,19 +82,9 @@ class UsageError(Exception):
     pass
 
 
-class VerificationError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: D102 - argparse hook
         raise UsageError(message)
-
-
-def _add_fse_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--fse-iters", type=int, default=1000)
-    p.add_argument("--fse-tile", type=int, default=16)
-    p.add_argument("--fse-border", type=int, default=16)
 
 
 def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
@@ -101,25 +92,22 @@ def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
                    help="update mode (default: block+fse)")
     p.add_argument("--block-size", type=int, default=16)
     p.add_argument("--search-range", type=int, default=15)
-    _add_fse_flags(p)
+    p.add_argument("--fse-iters", type=int, default=1000)
+    p.add_argument("--fse-tile", type=int, default=16)
+    p.add_argument("--fse-border", type=int, default=16)
 
 
 def _config_from_args(args) -> LiftConfig:
-    """LiftConfig from the parsed flags. Synthesis has only the --fse-* ones,
-    since the update mode and the motion come from the container."""
     try:
-        fse = FseParams(
-            tile_size=args.fse_tile,
-            border=args.fse_border,
-            max_iterations=args.fse_iters,
-        )
-        if args.command == "synthesize":
-            return LiftConfig(fse=fse)
         return LiftConfig(
             block_size=args.block_size,
             search_range=args.search_range,
             update_mode=MODE_FROM_CLI[args.mode],
-            fse=fse,
+            fse=FseParams(
+                tile_size=args.fse_tile,
+                border=args.fse_border,
+                max_iterations=args.fse_iters,
+            ),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -231,9 +219,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    cfg = _config_from_args(args)
     bands = read_container(args.input)
-    seq = synthesize_sequence(bands, cfg)
+    seq = synthesize_sequence(bands)
     payload = write_raw_sequence(seq, args.output)
     write_sidecar(seq, str(args.output) + ".json", Path(args.output).name)
     digest = sha256_hex(payload)
@@ -307,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sy.add_argument("--output", required=True, help="reconstructed raw path")
     p_sy.add_argument("--expect-sha256", default=None,
                       help="fail with exit 3 if the reconstruction hash differs")
-    _add_fse_flags(p_sy)
     p_sy.set_defaults(func=cmd_synthesize)
 
     p_cmp = sub.add_parser("compare", help="run several update modes over one dataset")

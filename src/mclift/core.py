@@ -8,6 +8,7 @@ All value objects are frozen after construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, NamedTuple
@@ -17,6 +18,10 @@ import numpy as np
 
 class DataFormatError(ValueError):
     """Malformed external data (raw files, sidecars, containers, payloads)."""
+
+
+class VerificationError(Exception):
+    """A reconstruction that does not match the checksum it must match."""
 
 
 class UpdateMode(Enum):
@@ -282,15 +287,22 @@ class UpdateField:
         return self.values.shape[1]
 
 
+# Upper bounds on the work one FSE tile may ask for. A container carries its
+# FSE parameters, so these bounds also cap what a hostile file can make the
+# decoder allocate (a few fft_size^2 grids per tile) and iterate.
+FSE_MAX_FFT_SIZE = 256
+FSE_MAX_ITERATIONS = 10_000
+
+
 @dataclass(frozen=True)
 class FseParams:
     """Configuration of the spectral hole-filling stage.
 
     tile_size is the edge of a hole-owning processing block, border the
     support margin included on each side. The transform edge fft_size is
-    the smallest power of two that holds tile_size + 2*border. decay_rho
-    controls the spatial weighting falloff from the tile center and
-    orth_gamma damps each greedy coefficient update.
+    the smallest power of two that holds tile_size + 2*border, at most
+    FSE_MAX_FFT_SIZE. decay_rho controls the spatial weighting falloff from
+    the tile center and orth_gamma damps each greedy coefficient update.
     """
 
     tile_size: int = 16
@@ -309,10 +321,15 @@ class FseParams:
             raise ValueError("decay_rho must be in (0, 1)")
         if not 0.0 < self.orth_gamma <= 1.0:
             raise ValueError("orth_gamma must be in (0, 1]")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.stop_epsilon < 0.0:
-            raise ValueError("stop_epsilon must be >= 0")
+        if self.fft_size > FSE_MAX_FFT_SIZE:
+            raise ValueError(
+                f"fft_size {self.fft_size} for tile_size {self.tile_size} and "
+                f"border {self.border} exceeds {FSE_MAX_FFT_SIZE}"
+            )
+        if not 1 <= self.max_iterations <= FSE_MAX_ITERATIONS:
+            raise ValueError(f"max_iterations must be in [1, {FSE_MAX_ITERATIONS}]")
+        if not 0.0 <= self.stop_epsilon < math.inf:
+            raise ValueError("stop_epsilon must be finite and >= 0")
 
     @property
     def fft_size(self) -> int:

@@ -8,15 +8,16 @@ floor, so synthesis reproduces the original samples bit-exactly.
 
 The decoder never receives the update field: it recomputes it from the
 transmitted highpass band and motion field, repeating the identical
-deterministic weighting and hole filling. The only side information beyond
-the subbands is the motion field itself. Analysis and synthesis run one
-path, pair after pair, so both sides compute that update field the same way.
+deterministic weighting and hole filling. The container carries the motion
+field and that recipe (update mode, FSE parameters), so it decodes alone.
+Analysis and synthesis run one path, so both compute the same update field.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+import zlib
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .core import (
     Sequence,
     UpdateField,
     UpdateMode,
+    VerificationError,
     floor_samples,
     iter_blocks,
 )
@@ -39,8 +41,12 @@ from .io import write_file
 from .motion import estimate_motion, motion_from_bytes, motion_to_bytes
 
 _CONTAINER_MAGIC = b"MCLF"
-_CONTAINER_VERSION = 1
-_CONTAINER_HEADER = struct.Struct("<4sBBHHHB")
+# The version also names the update arithmetic (weights and FSE fill), which
+# the decoder recomputes: any change that moves an update value must bump it.
+_CONTAINER_VERSION = 2
+# magic, version, bit_depth, width, height, pair_count, mode, FseParams fields
+_CONTAINER_HEADER = struct.Struct("<4sBBHHHBHHddId")
+_CRC = struct.Struct("<I")
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,6 +57,7 @@ class SubbandPair:
     highpass: Frame
     motion: MotionField
     update_mode: UpdateMode
+    fse: FseParams
 
     def __post_init__(self) -> None:
         if not self.lowpass.same_geometry(self.highpass):
@@ -64,9 +71,7 @@ class PairProducts:
     """All intermediate stages of one pair analysis, for diagnostics."""
 
     subbands: SubbandPair
-    predictor: Frame
     conn: ConnectivityMap
-    raw_update: UpdateField
     weighted_update: UpdateField
     final_update: UpdateField
     fse_stats: tuple[TileStats, ...] = ()
@@ -77,14 +82,17 @@ class SequenceBands:
     """Transform of a whole sequence: one subband pair per frame pair.
 
     An odd trailing frame passes through unchanged as the last lowpass
-    entry and is flagged.
+    entry and is flagged. crcs holds the CRC32 of each original pair, then
+    of the trailing frame if any; synthesis checks its output against them.
     """
 
     lowpass: tuple[Frame, ...]
     highpass: tuple[Frame, ...]
     motion_fields: tuple[MotionField, ...]
     update_mode: UpdateMode
+    fse: FseParams
     has_trailing: bool
+    crcs: tuple[int, ...]
     axis_label: str = "time"
 
     @property
@@ -99,6 +107,8 @@ class SequenceBands:
             raise ValueError(
                 f"expected {expected_lp} lowpass frames, got {len(self.lowpass)}"
             )
+        if len(self.crcs) != expected_lp:
+            raise ValueError(f"expected {expected_lp} CRCs, got {len(self.crcs)}")
         if not self.lowpass:
             raise ValueError("bands must contain at least one lowpass frame")
 
@@ -149,11 +159,11 @@ def _build_update(
     motion: MotionField,
     mode: UpdateMode,
     fse_params: FseParams,
-) -> tuple[UpdateField, UpdateField, ConnectivityMap, UpdateField, tuple[TileStats, ...]]:
+) -> tuple[UpdateField, UpdateField, ConnectivityMap, tuple[TileStats, ...]]:
     """Recomputable update pipeline shared by analysis and synthesis.
 
-    Returns (final, weighted, conn, raw, fse_stats); `final` is what the
-    update step actually adds.
+    Returns (final, weighted, conn, fse_stats); `final` is what the update
+    step actually adds.
     """
     raw, conn = imc_scatter(highpass, motion)
     weighted = apply_connectivity_weights(raw, conn)
@@ -169,7 +179,7 @@ def _build_update(
         stats = tuple(stat_list)
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown update mode {mode}")
-    return final, weighted, conn, raw, stats
+    return final, weighted, conn, stats
 
 
 def analyze_pair(reference: Frame, current: Frame, cfg: LiftConfig) -> PairProducts:
@@ -179,31 +189,29 @@ def analyze_pair(reference: Frame, current: Frame, cfg: LiftConfig) -> PairProdu
     motion = estimate_motion(current, reference, cfg)
     predictor = mc_predict(reference, motion)
     highpass = analyze_highpass(current, predictor)
-    final, weighted, conn, raw, stats = _build_update(
+    final, weighted, conn, stats = _build_update(
         highpass, motion, cfg.update_mode, cfg.fse
     )
     lowpass = analyze_lowpass(reference, final)
-    subbands = SubbandPair(lowpass, highpass, motion, cfg.update_mode)
+    subbands = SubbandPair(lowpass, highpass, motion, cfg.update_mode, cfg.fse)
     return PairProducts(
         subbands=subbands,
-        predictor=predictor,
         conn=conn,
-        raw_update=raw,
         weighted_update=weighted,
         final_update=final,
         fse_stats=stats,
     )
 
 
-def synthesize_pair(bands: SubbandPair, cfg: LiftConfig) -> tuple[Frame, Frame]:
-    """Exact inverse of analyze_pair, given the same configuration.
+def synthesize_pair(bands: SubbandPair) -> tuple[Frame, Frame]:
+    """Exact inverse of analyze_pair.
 
     The update field is recomputed from the highpass band and motion field,
     including the deterministic hole filling, then both lifting steps are
     undone in reverse order.
     """
-    final, _, _, _, _ = _build_update(
-        bands.highpass, bands.motion, bands.update_mode, cfg.fse
+    final, _, _, _ = _build_update(
+        bands.highpass, bands.motion, bands.update_mode, bands.fse
     )
     lp = bands.lowpass.samples.astype(np.int64)
     reference = Frame(lp - floor_samples(final.values), bands.lowpass.bit_depth)
@@ -215,6 +223,14 @@ def synthesize_pair(bands: SubbandPair, cfg: LiftConfig) -> tuple[Frame, Frame]:
     return reference, current
 
 
+def _crc(frames: tuple[Frame, ...]) -> int:
+    """CRC32 of the frames' samples as little-endian int32, in order."""
+    crc = 0
+    for frame in frames:
+        crc = zlib.crc32(frame.samples.astype("<i4", copy=False), crc)
+    return crc
+
+
 def analyze_sequence(
     seq: Sequence, cfg: LiftConfig
 ) -> tuple[SequenceBands, list[PairProducts]]:
@@ -223,31 +239,55 @@ def analyze_sequence(
     if len(seq) < 1:
         raise ValueError("sequence must contain at least one frame")
     has_trailing = len(seq) % 2 == 1
-    results = [
-        analyze_pair(seq[2 * t], seq[2 * t + 1], cfg) for t in range(len(seq) // 2)
-    ]
+    pairs = [(seq[2 * t], seq[2 * t + 1]) for t in range(len(seq) // 2)]
+    results = [analyze_pair(ref, cur, cfg) for ref, cur in pairs]
 
     lowpass = [r.subbands.lowpass for r in results]
+    groups = list(pairs)
     if has_trailing:
         lowpass.append(seq[len(seq) - 1])
+        groups.append((seq[len(seq) - 1],))
     bands = SequenceBands(
         lowpass=tuple(lowpass),
         highpass=tuple(r.subbands.highpass for r in results),
         motion_fields=tuple(r.subbands.motion for r in results),
         update_mode=cfg.update_mode,
+        fse=cfg.fse,
         has_trailing=has_trailing,
+        crcs=tuple(_crc(g) for g in groups),
         axis_label=seq.axis_label,
     )
     return bands, results
 
 
-def synthesize_sequence(bands: SequenceBands, cfg: LiftConfig) -> Sequence:
-    """Bit-exact reconstruction of the original sequence."""
+def synthesize_sequence(bands: SequenceBands) -> Sequence:
+    """Bit-exact reconstruction of the original sequence.
+
+    Raises VerificationError naming the first pair (or the trailing frame)
+    whose reconstruction does not match its stored CRC32.
+    """
     frames: list[Frame] = []
-    for lp, hp, mf in zip(bands.lowpass, bands.highpass, bands.motion_fields):
-        frames.extend(synthesize_pair(SubbandPair(lp, hp, mf, bands.update_mode), cfg))
-    if bands.has_trailing:
-        frames.append(bands.lowpass[-1])
+    for t, crc in enumerate(bands.crcs):
+        if t < bands.pair_count:
+            group = synthesize_pair(
+                SubbandPair(
+                    bands.lowpass[t],
+                    bands.highpass[t],
+                    bands.motion_fields[t],
+                    bands.update_mode,
+                    bands.fse,
+                )
+            )
+            what = f"pair {t}"
+        else:
+            group = (bands.lowpass[t],)
+            what = "trailing frame"
+        got = _crc(group)
+        if got != crc:
+            raise VerificationError(
+                f"{what}: reconstruction CRC32 {got:08x} != stored {crc:08x}"
+            )
+        frames.extend(group)
     return Sequence(tuple(frames), axis_label=bands.axis_label)
 
 
@@ -269,16 +309,27 @@ def container_to_bytes(bands: SequenceBands) -> bytes:
             first.height,
             bands.pair_count,
             bands.update_mode.value,
+            *astuple(bands.fse),
         )
     ]
-    for lp, hp, mf in zip(bands.lowpass, bands.highpass, bands.motion_fields):
+    for lp, hp, mf, crc in zip(
+        bands.lowpass, bands.highpass, bands.motion_fields, bands.crcs
+    ):
         parts.append(motion_to_bytes(mf))
         parts.append(_frame_bytes(lp))
         parts.append(_frame_bytes(hp))
+        parts.append(_CRC.pack(crc))
     parts.append(struct.pack("<B", 1 if bands.has_trailing else 0))
     if bands.has_trailing:
         parts.append(_frame_bytes(bands.lowpass[-1]))
+        parts.append(_CRC.pack(bands.crcs[-1]))
     return b"".join(parts)
+
+
+def _read_crc(data: bytes, offset: int, what: str) -> tuple[int, int]:
+    if offset + _CRC.size > len(data):
+        raise DataFormatError(f"{what} CRC32 truncated at byte {offset}")
+    return _CRC.unpack_from(data, offset)[0], offset + _CRC.size
 
 
 def _read_frame(
@@ -298,7 +349,7 @@ def container_from_bytes(data: bytes) -> SequenceBands:
     """Parse a subband container, validating structure with byte positions."""
     if len(data) < _CONTAINER_HEADER.size:
         raise DataFormatError("container shorter than its header")
-    magic, version, bit_depth, width, height, pair_count, mode_byte = (
+    magic, version, bit_depth, width, height, pair_count, mode_byte, *fse = (
         _CONTAINER_HEADER.unpack_from(data, 0)
     )
     if magic != _CONTAINER_MAGIC:
@@ -313,11 +364,16 @@ def container_from_bytes(data: bytes) -> SequenceBands:
         mode = UpdateMode(mode_byte)
     except ValueError as exc:
         raise DataFormatError(f"unknown update mode byte {mode_byte}") from exc
+    try:
+        fse_params = FseParams(*fse)
+    except ValueError as exc:
+        raise DataFormatError(f"invalid FSE parameters: {exc}") from exc
 
     offset = _CONTAINER_HEADER.size
     lowpass: list[Frame] = []
     highpass: list[Frame] = []
     fields: list[MotionField] = []
+    crcs: list[int] = []
     for pair in range(pair_count):
         mf, offset = motion_from_bytes(data, offset)
         if not mf.matches_frame(width, height):
@@ -330,6 +386,8 @@ def container_from_bytes(data: bytes) -> SequenceBands:
         hp, offset = _read_frame(
             data, offset, width, height, bit_depth, f"pair {pair} highpass"
         )
+        crc, offset = _read_crc(data, offset, f"pair {pair}")
+        crcs.append(crc)
         fields.append(mf)
         lowpass.append(lp)
         highpass.append(hp)
@@ -343,7 +401,9 @@ def container_from_bytes(data: bytes) -> SequenceBands:
         trailing, offset = _read_frame(
             data, offset, width, height, bit_depth, "trailing frame"
         )
+        crc, offset = _read_crc(data, offset, "trailing frame")
         lowpass.append(trailing)
+        crcs.append(crc)
     if offset != len(data):
         raise DataFormatError(
             f"{len(data) - offset} unexpected extra bytes at byte {offset}"
@@ -354,10 +414,12 @@ def container_from_bytes(data: bytes) -> SequenceBands:
             highpass=tuple(highpass),
             motion_fields=tuple(fields),
             update_mode=mode,
+            fse=fse_params,
             has_trailing=bool(flag),
+            crcs=tuple(crcs),
         )
     except ValueError as exc:
-        raise DataFormatError(f"inconsistent container contents: {exc}") from exc
+        raise DataFormatError(f"invalid container contents: {exc}") from exc
 
 
 def write_container(path, bands: SequenceBands) -> None:

@@ -97,15 +97,24 @@ def decode_lossless(payload: bytes) -> Frame:
         raise DataFormatError(f"unknown codec id {codec_id}")
     if sample_width not in (2, 4):
         raise DataFormatError(f"invalid sample width {sample_width}")
+    if not 1 <= bit_depth <= 16:
+        raise DataFormatError(f"invalid bit depth {bit_depth}")
+    if width < 1 or height < 1:
+        raise DataFormatError(f"invalid dimensions {width}x{height}")
+    expected = width * height * sample_width
+    # Inflate at most one byte past the expected size, so a stream that
+    # expands further cannot exhaust memory.
+    inflater = zlib.decompressobj()
     try:
-        body = zlib.decompress(payload[_PAYLOAD_HEADER.size :])
+        body = inflater.decompress(payload[_PAYLOAD_HEADER.size :], expected + 1)
     except zlib.error as exc:
         raise DataFormatError(f"corrupt deflate stream: {exc}") from exc
-    expected = width * height * sample_width
     if len(body) != expected:
         raise DataFormatError(
             f"payload body {len(body)} bytes, expected {expected}"
         )
+    if not inflater.eof or inflater.unused_data:
+        raise DataFormatError("deflate stream truncated or followed by extra bytes")
     dtype = "<i2" if sample_width == 2 else "<i4"
     r = np.frombuffer(body, dtype=dtype).reshape(height, width)
     return Frame(_unresiduals(r).astype(np.int32), bit_depth)

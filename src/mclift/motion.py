@@ -360,6 +360,8 @@ def motion_from_bytes(data: bytes, offset: int = 0) -> tuple[MotionField, int]:
             f"motion field header truncated at byte {offset}"
         )
     block_size, blocks_x, blocks_y = _HEADER.unpack_from(data, offset)
+    if block_size < 1:
+        raise DataFormatError(f"motion field block size 0 at byte {offset}")
     offset += _HEADER.size
     count = blocks_x * blocks_y
     need = count * _VECTOR.size

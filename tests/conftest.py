@@ -1,5 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from mclift.core import Frame
 
@@ -19,3 +22,52 @@ def make_pair(rng: np.random.Generator, width: int, height: int, bit_depth: int)
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(0xC0FFEE)
+
+
+# Boundary values that break counts, dimensions and parameters.
+BOGUS_VALUES = {
+    "<B": (0, 1, 0xFF),
+    "<H": (0, 1, 0xFFFF),
+    "<I": (0, 1, 0xFFFFFFFF),
+    "<d": (0.0, -1.0, float("nan"), float("inf")),
+}
+
+
+def overwrite(payload: bytes, offset: int, fmt: str, value) -> bytes:
+    out = bytearray(payload)
+    packed = struct.pack(fmt, value)
+    out[offset : offset + len(packed)] = packed
+    return bytes(out)
+
+
+def hostile_edits(payload: bytes, field_offsets: list[int]):
+    """Every truncation of `payload`, then every bogus value of BOGUS_VALUES
+    written where a count, dimension or parameter lives (`field_offsets`)."""
+    for end in range(len(payload)):
+        yield payload[:end]
+    for offset in field_offsets:
+        for fmt, values in BOGUS_VALUES.items():
+            for value in values:
+                yield overwrite(payload, offset, fmt, value)
+
+
+def corrupt(data, payload: bytes, field_offsets: list[int]) -> bytes:
+    """One random hostile edit of `payload`, drawn through hypothesis `data`:
+    a truncation, a flipped byte, or a u8/u16/u32/f64 value written at a
+    field offset or anywhere."""
+    edit = data.draw(st.sampled_from(["truncate", "flip", "overwrite"]))
+    if edit == "truncate":
+        return payload[: data.draw(st.integers(0, len(payload) - 1))]
+    if edit == "flip":
+        out = bytearray(payload)
+        out[data.draw(st.integers(0, len(out) - 1))] ^= data.draw(st.integers(1, 255))
+        return bytes(out)
+    offset = data.draw(
+        st.one_of(st.sampled_from(field_offsets), st.integers(0, len(payload) - 1))
+    )
+    fmt = data.draw(st.sampled_from(sorted(BOGUS_VALUES)))
+    if fmt == "<d":
+        value = data.draw(st.floats(allow_nan=True, allow_infinity=True))
+    else:
+        value = data.draw(st.integers(0, (1 << 8 * struct.calcsize(fmt)) - 1))
+    return overwrite(payload, offset, fmt, value)

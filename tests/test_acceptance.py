@@ -60,7 +60,7 @@ def test_criterion_1_lossless_invertibility():
         ref, cur = make_pair(rng, width, height, bit_depth)
         seq = Sequence((ref, cur))
         bands, _ = analyze_sequence(seq, cfg)
-        back = synthesize_sequence(bands, cfg)
+        back = synthesize_sequence(bands)
         assert back[0] == ref and back[1] == cur, (
             f"round trip failed: pair {i}, {width}x{height}, "
             f"{bit_depth}-bit, {mode.name}"

@@ -1,11 +1,13 @@
 import csv
 import json
+import struct
 from pathlib import Path
 
 import pytest
 
 from mclift.cli import COMPARE_COLUMNS, METRICS_COLUMNS, main
 from mclift.io import SIDECAR_KEYS, read_dataset
+from mclift.lifting import read_container
 
 FAST_FSE = ["--fse-tile", "8", "--fse-border", "8", "--fse-iters", "60"]
 
@@ -58,7 +60,7 @@ def test_analyze_then_synthesize_round_trip(tmp_path):
         "--mode", "block+fse", *FAST_FSE,
     ) == 0
     recon = tmp_path / "recon.raw"
-    assert run("synthesize", "--input", container, "--output", recon, *FAST_FSE) == 0
+    assert run("synthesize", "--input", container, "--output", recon) == 0
     assert recon.read_bytes() == (tmp_path / "data.raw").read_bytes()
     meta = json.loads(Path(str(recon) + ".json").read_text())
     assert meta["frames"] == 5
@@ -137,19 +139,68 @@ def test_analyze_writes_metrics_csv_with_infinite_psnr(tmp_path):
 
 @pytest.mark.parametrize(
     "flag,value",
-    [("mode", "block"), ("block-size", "8"), ("search-range", "4"), ("threads", "1")],
+    [("mode", "block"), ("block-size", "8"), ("search-range", "4"), ("threads", "1"),
+     ("fse-iters", "60"), ("fse-tile", "8"), ("fse-border", "8")],
 )
 def test_synthesize_rejects_flags_it_does_not_read(tmp_path, flag, value):
-    # The update mode and the motion come from the container, and there is
-    # no thread count to set.
+    # The update mode, the FSE parameters and the motion come from the
+    # container, and there is no thread count to set.
     sidecar = gen(tmp_path, "constant", width=32, height=32, frames=2)
     container = tmp_path / "c.mclf"
     assert run("analyze", "--input", sidecar, "--output", container, *FAST_FSE) == 0
     recon = tmp_path / "r.raw"
-    common = ["synthesize", "--input", container, "--output", recon, *FAST_FSE]
+    common = ["synthesize", "--input", container, "--output", recon]
     assert run(*common, f"--{flag}", value) == 1
     assert not recon.exists()
     assert run(*common) == 0
+
+
+def test_synthesize_decodes_with_the_fse_parameters_analyze_used(tmp_path):
+    # Analysed with --fse-iters 50 and synthesised with defaults, this used
+    # to exit 0 with 64 wrong bytes, because the container did not store the
+    # FSE parameters.
+    sidecar = gen(tmp_path, "flash_disocclusion", frames=2, seed=1)
+    container = tmp_path / "c.mclf"
+    assert run(
+        "analyze", "--input", sidecar, "--output", container,
+        "--fse-iters", "50", "--fse-tile", "8", "--fse-border", "12",
+    ) == 0
+    recon = tmp_path / "r.raw"
+    assert run("synthesize", "--input", container, "--output", recon) == 0
+    assert recon.read_bytes() == (tmp_path / "data.raw").read_bytes()
+
+
+def test_synthesize_corrupt_lowpass_is_verification_failure(tmp_path, capsys):
+    sidecar = gen(tmp_path, "translate", width=64, height=48, frames=2)
+    container = tmp_path / "c.mclf"
+    assert run("analyze", "--input", sidecar, "--output", container, *FAST_FSE) == 0
+    payload = bytearray(container.read_bytes())
+    lowpass = read_container(container).lowpass[0].samples.astype("<i4").tobytes()
+    payload[payload.index(lowpass) + 100] ^= 0x01
+    container.write_bytes(bytes(payload))
+    recon = tmp_path / "r.raw"
+    assert run("synthesize", "--input", container, "--output", recon) == 3
+    assert "pair 0" in capsys.readouterr().err
+    assert not recon.exists()
+
+
+@pytest.mark.parametrize(
+    "offset,fmt,value",
+    [(13, "<H", 0xFFFF),  # tile_size: fft_size 262144, 512 GiB per grid
+     (33, "<I", 0xFFFFFFFF)],  # max_iterations
+)
+def test_synthesize_refuses_fse_work_the_header_cannot_ask_for(
+    tmp_path, offset, fmt, value
+):
+    sidecar = gen(tmp_path, "constant", width=32, height=32, frames=2)
+    container = tmp_path / "c.mclf"
+    assert run("analyze", "--input", sidecar, "--output", container, *FAST_FSE) == 0
+    payload = bytearray(container.read_bytes())
+    struct.pack_into(fmt, payload, offset, value)
+    container.write_bytes(bytes(payload))
+    recon = tmp_path / "r.raw"
+    assert run("synthesize", "--input", container, "--output", recon) == 2
+    assert not recon.exists()
 
 
 def test_compare_header_and_direction(tmp_path):
@@ -219,7 +270,7 @@ def round_trip_outputs(directory: Path, width: int, height: int, frames: int) ->
         "--dump-diagnostics", diag, *FAST_FSE,
     ) == 0
     recon = directory / "recon.raw"
-    assert run("synthesize", "--input", container, "--output", recon, *FAST_FSE) == 0
+    assert run("synthesize", "--input", container, "--output", recon) == 0
     names = ["data.json", "data.raw", "bands.mclf", "bands.mclf.metrics.csv",
              "recon.raw", "recon.raw.json"]
     names += [f"diag/{p.name}" for p in diag.iterdir()]

@@ -106,6 +106,14 @@ def test_grid_dims_and_clipped_blocks():
         {"orth_gamma": 1.5},
         {"max_iterations": 0},
         {"stop_epsilon": -1.0},
+        {"stop_epsilon": float("nan")},
+        {"stop_epsilon": float("inf")},
+        {"stop_epsilon": float("-inf")},
+        {"tile_size": 1 << 16},
+        {"border": 1 << 16},
+        {"tile_size": 200, "border": 100},  # fft_size 512
+        {"max_iterations": 10_001},
+        {"max_iterations": 1 << 32},
     ],
 )
 def test_fse_params_validation(kwargs):
@@ -115,6 +123,7 @@ def test_fse_params_validation(kwargs):
 
 def test_fse_params_derive_fft_size():
     assert FseParams().fft_size == 64
+    assert FseParams(tile_size=128, border=64).fft_size == 256
     assert FseParams(tile_size=8, border=8).fft_size == 32
     assert FseParams(tile_size=8, border=4).fft_size == 16
     assert FseParams(tile_size=4, border=4).fft_size == 16

@@ -27,39 +27,39 @@ FIXTURES = {
 # (kind, mode) -> (container sha256, reconstruction sha256)
 GOLDEN = {
     ("translate", "none"): (
-        "93edb72f67df3828c9427897a46b75eb5a06d8acf8aa5d7a4177276005e6ada4",
+        "9f5cef6ebcc757556bc6979889f888cb33288a1328fe438008658c2b006717e2",
         "d359c19e468b35a6b2fbef023b42b6cd04ef197ccf84e1972ffa53029e51387d",
     ),
     ("translate", "block"): (
-        "4c49bc979cd8e578e46cdca84a94554b4b2e6f3956721f04517d2099d8242173",
+        "c45f45f5d45d3751ec88df3f60712464b7ae569e0d1a14fb34ac91429b359654",
         "d359c19e468b35a6b2fbef023b42b6cd04ef197ccf84e1972ffa53029e51387d",
     ),
     ("translate", "block+fse"): (
-        "344a16e93ed113836be92bd2bcedc39c9b953a04121e9afe81b79ab12924d58f",
+        "9258f92f20662f3081adb9f71623b3f104af756730470005f26a1d582bac7edc",
         "d359c19e468b35a6b2fbef023b42b6cd04ef197ccf84e1972ffa53029e51387d",
     ),
     ("flash_disocclusion", "none"): (
-        "ddbc58a6b1608e28d2a1542186cbe0265f4763427e67ea3136311b51b7099ce8",
+        "ede2bdabd014e28c8b78dcd74cd41db081d3a5dab35f77e94045c3e319e83e8b",
         "26fc6d485a38a7999bda9d54539cc472a531762df85fed4ec89f94914feb9a8d",
     ),
     ("flash_disocclusion", "block"): (
-        "ca5fc0f9fd7f21f02400454fe78a1602ea43b81cb5b66b9dc037865f68144e80",
+        "b1b3c510384f282b3f69b051b8086eb2196e622c05184445b9877708abed8ab2",
         "26fc6d485a38a7999bda9d54539cc472a531762df85fed4ec89f94914feb9a8d",
     ),
     ("flash_disocclusion", "block+fse"): (
-        "fec9760dfb7dec78f58f38f2036aea5003ebc51b67a8949ecc9ea583c4b84ba6",
+        "ff62a7e7024c5d97a4be7586f797bd927e144fdfe66bb5e4d892c6d6f61dd212",
         "26fc6d485a38a7999bda9d54539cc472a531762df85fed4ec89f94914feb9a8d",
     ),
     ("noise", "none"): (
-        "74b7509bed73392295c235efe5f81805106717fbed8143610aa1ea4cad4fc906",
+        "bd84b95ca985cd72fc46311387e734d09163adaa9c7840d7caf72213b9c2e776",
         "fbb89e75e0c8d9eb8ec4dea9860e39302243ae512dc78a38cd8a6a1f84817d72",
     ),
     ("noise", "block"): (
-        "bf161ab7746a7d3145f4d0366c3d6327ccc739040d37c0feaeca5b86ab4de6aa",
+        "b1245a6c2bb2ef2c7c5f36b810e9a57f4182efd42b889b6cc3a6847c8cacb177",
         "fbb89e75e0c8d9eb8ec4dea9860e39302243ae512dc78a38cd8a6a1f84817d72",
     ),
     ("noise", "block+fse"): (
-        "c654601fe930224043cbd6ed14604fbbaf37ac7c55b3d3785a748588ccee60f6",
+        "29e6e0bbb318cfef17f8dd0a8c47d35f0454c8f8e656b33119fc9752f48944d1",
         "fbb89e75e0c8d9eb8ec4dea9860e39302243ae512dc78a38cd8a6a1f84817d72",
     ),
 }

@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +16,10 @@ from mclift.core import (
     Sequence,
     UpdateField,
     UpdateMode,
+    VerificationError,
 )
 from mclift.lifting import (
+    _CONTAINER_HEADER,
     SubbandPair,
     analyze_highpass,
     analyze_lowpass,
@@ -29,7 +34,7 @@ from mclift.lifting import (
     write_container,
 )
 
-from conftest import make_frame, make_pair
+from conftest import corrupt, hostile_edits, make_frame, make_pair, overwrite
 
 FAST_FSE = FseParams(tile_size=8, border=8, max_iterations=40)
 
@@ -167,7 +172,7 @@ def test_pair_round_trip(mode, bit_depth):
     ref, cur = make_pair(rng, 40, 40, bit_depth)
     cfg = fast_cfg(mode)
     bands = analyze_pair(ref, cur, cfg).subbands
-    got_ref, got_cur = synthesize_pair(bands, cfg)
+    got_ref, got_cur = synthesize_pair(bands)
     assert got_ref == ref
     assert got_cur == cur
 
@@ -190,7 +195,7 @@ def test_pair_round_trip_property(data, bit_depth, mode):
         fse=FseParams(tile_size=4, border=4, max_iterations=15),
     )
     bands = analyze_pair(ref, cur, cfg).subbands
-    got_ref, got_cur = synthesize_pair(bands, cfg)
+    got_ref, got_cur = synthesize_pair(bands)
     assert got_ref == ref and got_cur == cur
 
 
@@ -198,8 +203,8 @@ def test_degenerate_synthesis_no_update_zero_highpass(rng):
     lp = make_frame(rng, 32, 32, 8)
     field = zero_field(32, 32, 16)
     hp = Frame(np.zeros((32, 32), dtype=np.int32), 8)
-    bands = SubbandPair(lp, hp, field, UpdateMode.NO_UPDATE)
-    ref, cur = synthesize_pair(bands, fast_cfg(UpdateMode.NO_UPDATE))
+    bands = SubbandPair(lp, hp, field, UpdateMode.NO_UPDATE, FseParams())
+    ref, cur = synthesize_pair(bands)
     assert ref == lp
     assert cur == mc_predict(lp, field)
 
@@ -230,7 +235,7 @@ def test_sequence_round_trip(length, mode):
     seq = Sequence(frames, axis_label="slice")
     cfg = fast_cfg(mode, block_size=8, search_range=3)
     bands, _ = analyze_sequence(seq, cfg)
-    back = synthesize_sequence(bands, cfg)
+    back = synthesize_sequence(bands)
     assert len(back) == length
     assert back.axis_label == "slice"
     assert all(a == b for a, b in zip(back, seq))
@@ -249,7 +254,7 @@ def test_container_round_trip(rng, tmp_path):
     assert all(a == b for a, b in zip(parsed.lowpass, bands.lowpass))
     assert all(a == b for a, b in zip(parsed.highpass, bands.highpass))
     # and the parsed bands still invert the transform
-    back = synthesize_sequence(parsed, cfg)
+    back = synthesize_sequence(parsed)
     assert all(a == b for a, b in zip(back, frames))
 
 
@@ -268,3 +273,107 @@ def test_container_rejects_corruption(rng):
         container_from_bytes(payload + b"\x00")
     with pytest.raises(DataFormatError, match="header"):
         container_from_bytes(payload[:3])
+    with pytest.raises(DataFormatError, match="block size 0"):
+        container_from_bytes(overwrite(payload, _CONTAINER_HEADER.size, "<H", 0))
+
+
+def test_container_carries_its_fse_parameters(rng):
+    frames = tuple(make_frame(rng, 24, 20, 8) for _ in range(2))
+    fse = FseParams(tile_size=4, border=2, decay_rho=0.7, orth_gamma=0.25,
+                    max_iterations=9, stop_epsilon=1e-3)
+    cfg = dataclasses.replace(fast_cfg(block_size=8, search_range=2), fse=fse)
+    bands, _ = analyze_sequence(Sequence(frames), cfg)
+    parsed = container_from_bytes(container_to_bytes(bands))
+    assert parsed.fse == fse
+    assert all(a == b for a, b in zip(synthesize_sequence(parsed), frames))
+
+
+# header offsets of the FSE fields tile_size, max_iterations and stop_epsilon
+TILE_SIZE_AT, MAX_ITERATIONS_AT, STOP_EPSILON_AT = 13, 33, 37
+
+
+def test_container_rejects_invalid_fse_parameters(rng):
+    frames = tuple(make_frame(rng, 16, 16, 8) for _ in range(2))
+    bands, _ = analyze_sequence(Sequence(frames), fast_cfg())
+    payload = container_to_bytes(bands)
+    for bad in (float("nan"), float("inf"), -1.0):
+        hostile = overwrite(payload, STOP_EPSILON_AT, "<d", bad)
+        with pytest.raises(DataFormatError, match="stop_epsilon"):
+            container_from_bytes(hostile)
+    # Values that fit their fields but would make the decoder allocate
+    # gigabytes per tile or iterate for hours are refused too.
+    for tile in (0xFFFF, 16 | 0x8000):
+        hostile = overwrite(payload, TILE_SIZE_AT, "<H", tile)
+        with pytest.raises(DataFormatError, match="fft_size"):
+            container_from_bytes(hostile)
+    hostile = overwrite(payload, MAX_ITERATIONS_AT, "<I", 0xFFFFFFFF)
+    with pytest.raises(DataFormatError, match="max_iterations"):
+        container_from_bytes(hostile)
+
+
+def test_container_v1_is_refused(rng):
+    frames = tuple(make_frame(rng, 16, 16, 8) for _ in range(2))
+    bands, _ = analyze_sequence(Sequence(frames), fast_cfg())
+    payload = container_to_bytes(bands)
+    with pytest.raises(DataFormatError, match="unsupported container version 1"):
+        container_from_bytes(payload[:4] + b"\x01" + payload[5:])
+
+
+def _frame_offset(payload: bytes, frame: Frame) -> int:
+    return payload.index(frame.samples.astype("<i4").tobytes())
+
+
+@pytest.mark.parametrize(
+    "part,where",
+    [("lowpass", "pair 1"), ("highpass", "pair 1"), ("crc", "pair 1"),
+     ("trailing", "trailing frame"), ("trailing crc", "trailing frame")],
+)
+def test_synthesis_checks_each_pair_against_its_crc(part, where):
+    rng = np.random.default_rng(31)
+    frames = tuple(make_frame(rng, 24, 16, 8) for _ in range(5))
+    bands, _ = analyze_sequence(Sequence(frames), fast_cfg(block_size=8, search_range=2))
+    payload = bytearray(container_to_bytes(bands))
+    frame = {"lowpass": bands.lowpass[1], "highpass": bands.highpass[1],
+             "crc": bands.highpass[1]}.get(part, bands.lowpass[-1])
+    offset = _frame_offset(payload, frame)
+    if part.endswith("crc"):
+        offset += frame.samples.nbytes
+    payload[offset] ^= 0x01
+    parsed = container_from_bytes(bytes(payload))
+    with pytest.raises(VerificationError, match=where):
+        synthesize_sequence(parsed)
+
+
+# version, bit depth, width, height, pair count, mode, the six FSE fields,
+# then the first motion field's block size and grid
+CONTAINER_FIELDS = [4, 5, 6, 8, 10, 12, 13, 15, 17, 25, 33, 37] + [
+    _CONTAINER_HEADER.size + i for i in (0, 2, 4)
+]
+
+
+@functools.cache
+def _small_container() -> bytes:
+    rng = np.random.default_rng(5)
+    frames = tuple(make_frame(rng, 20, 12, 8) for _ in range(3))
+    bands, _ = analyze_sequence(Sequence(frames), fast_cfg(block_size=8, search_range=2))
+    return container_to_bytes(bands)
+
+
+def test_container_parser_hostile_edits_raise_only_data_format_error():
+    # Some edits still parse (mode byte 1, tile size 1, ...); no edit may
+    # raise anything but DataFormatError.
+    for hostile in hostile_edits(_small_container(), CONTAINER_FIELDS):
+        try:
+            container_from_bytes(hostile)
+        except DataFormatError:
+            pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_container_parser_fuzz_raises_only_data_format_error(data):
+    hostile = corrupt(data, _small_container(), CONTAINER_FIELDS)
+    try:
+        container_from_bytes(hostile)
+    except DataFormatError:
+        pass

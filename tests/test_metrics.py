@@ -1,4 +1,6 @@
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from mclift.metrics import (
     raw_frame_bytes,
 )
 
-from conftest import make_frame
+from conftest import corrupt, hostile_edits, make_frame
 
 
 def test_psnr_identical_is_infinite(rng):
@@ -102,6 +104,16 @@ def test_codec_is_deterministic(rng):
     assert encode_lossless(f) == encode_lossless(g)
 
 
+def test_codec_rejects_extra_bytes_and_overlong_streams():
+    f = Frame(np.zeros((2, 2), dtype=np.int32), 8)
+    payload = encode_lossless(f)
+    with pytest.raises(DataFormatError, match="extra bytes"):
+        decode_lossless(payload + b"garbage")
+    header = struct.pack("<BBHHB", 1, 8, 2, 2, 2)
+    with pytest.raises(DataFormatError, match="expected 8"):
+        decode_lossless(header + zlib.compress(bytes(1 << 20)))
+
+
 def test_codec_rejects_garbage():
     with pytest.raises(DataFormatError):
         decode_lossless(b"\x01\x08")
@@ -112,6 +124,10 @@ def test_codec_rejects_garbage():
     payload[-1] ^= 0xFF
     with pytest.raises(DataFormatError):
         decode_lossless(bytes(payload))
+    # zero width or height, bit depth 0 or 17
+    for header in [(1, 8, 0, 1, 2), (1, 8, 1, 0, 2), (1, 0, 1, 1, 2), (1, 17, 1, 1, 2)]:
+        with pytest.raises(DataFormatError):
+            decode_lossless(struct.pack("<BBHHB", *header) + zlib.compress(bytes(2)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -125,3 +141,28 @@ def test_codec_rejects_garbage():
 def test_codec_round_trip_property(samples):
     f = Frame(samples, 12)
     assert decode_lossless(encode_lossless(f)) == f
+
+
+# codec id, bit depth, width, height, sample width
+PAYLOAD_FIELDS = [0, 1, 2, 4, 6]
+SMALL_PAYLOAD = encode_lossless(
+    Frame(np.arange(-30, 30, dtype=np.int32).reshape(6, 10), 12)
+)
+
+
+def test_codec_parser_hostile_edits_raise_only_data_format_error():
+    for hostile in hostile_edits(SMALL_PAYLOAD, PAYLOAD_FIELDS):
+        try:
+            decode_lossless(hostile)
+        except DataFormatError:
+            pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_codec_parser_fuzz_raises_only_data_format_error(data):
+    hostile = corrupt(data, SMALL_PAYLOAD, PAYLOAD_FIELDS)
+    try:
+        decode_lossless(hostile)
+    except DataFormatError:
+        pass

@@ -21,7 +21,8 @@ def run(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--mode", default="block+fse",
                         choices=["none", "block", "block+fse"])
-    parser.add_argument("--fse-iters", type=int, default=1000)
+    parser.add_argument("--fse-iters", type=int, default=None,
+                        help="FSE iterations per tile (default: mclift analyze's)")
     args = parser.parse_args(argv)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
@@ -34,9 +35,10 @@ def run(argv=None) -> int:
     )
     if rc != 0:
         return rc
+    fse_flags = [] if args.fse_iters is None else ["--fse-iters", str(args.fse_iters)]
     rc = cli_main(
         ["analyze", "--input", str(sidecar), "--output", str(container),
-         "--mode", args.mode, "--fse-iters", str(args.fse_iters),
+         "--mode", args.mode, *fse_flags,
          "--dump-diagnostics", str(args.out_dir / "images")]
     )
     if rc != 0:

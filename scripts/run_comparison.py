@@ -18,7 +18,8 @@ def run(argv=None) -> int:
     parser.add_argument("--kind", default="flash_disocclusion")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--frames", type=int, default=4)
-    parser.add_argument("--fse-iters", type=int, default=1000)
+    parser.add_argument("--fse-iters", type=int, default=None,
+                        help="FSE iterations per tile (default: mclift analyze's)")
     args = parser.parse_args(argv)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
@@ -31,9 +32,10 @@ def run(argv=None) -> int:
     )
     if rc != 0:
         return rc
+    fse_flags = [] if args.fse_iters is None else ["--fse-iters", str(args.fse_iters)]
     rc = cli_main(
         ["compare", "--input", str(sidecar), "--output", str(csv_path),
-         "--modes", "none,block,block+fse", "--fse-iters", str(args.fse_iters)]
+         "--modes", "none,block,block+fse", *fse_flags]
     )
     if rc != 0:
         return rc

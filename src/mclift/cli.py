@@ -88,13 +88,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", choices=sorted(MODE_FROM_CLI), default="block+fse",
-                   help="update mode (default: block+fse)")
-    p.add_argument("--block-size", type=int, default=16)
-    p.add_argument("--search-range", type=int, default=15)
-    p.add_argument("--fse-iters", type=int, default=1000)
-    p.add_argument("--fse-tile", type=int, default=16)
-    p.add_argument("--fse-border", type=int, default=16)
+    cfg = LiftConfig()
+    mode = MODE_CLI_NAMES[cfg.update_mode]
+    p.add_argument("--mode", choices=sorted(MODE_FROM_CLI), default=mode,
+                   help=f"update mode (default: {mode})")
+    p.add_argument("--block-size", type=int, default=cfg.block_size)
+    p.add_argument("--search-range", type=int, default=cfg.search_range)
+    p.add_argument("--fse-iters", type=int, default=cfg.fse.max_iterations)
+    p.add_argument("--fse-tile", type=int, default=cfg.fse.tile_size)
+    p.add_argument("--fse-border", type=int, default=cfg.fse.border)
 
 
 def _config_from_args(args) -> LiftConfig:

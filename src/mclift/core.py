@@ -292,6 +292,13 @@ class UpdateField:
 # decoder allocate (a few fft_size^2 grids per tile) and iterate.
 FSE_MAX_FFT_SIZE = 256
 FSE_MAX_ITERATIONS = 10_000
+# Upper bound on fft_size^2 * max_iterations / tile_size^2, the transform
+# work per hole pixel. 16000 is its value at tile 16, border 16 and 1000
+# iterations, the default budget of earlier releases, so their containers
+# still decode (today's default of 100 iterations gives 1600). Tile 1,
+# border 127 and 10000 iterations would ask for ~41000x more, ~1.75 s of
+# decoding per hole pixel.
+FSE_MAX_WORK_PER_PIXEL = 16_000
 
 
 @dataclass(frozen=True)
@@ -303,13 +310,15 @@ class FseParams:
     the smallest power of two that holds tile_size + 2*border, at most
     FSE_MAX_FFT_SIZE. decay_rho controls the spatial weighting falloff from
     the tile center and orth_gamma damps each greedy coefficient update.
+    A tile stops after max_iterations greedy steps, or earlier once its
+    residual energy falls below stop_epsilon times its start.
     """
 
     tile_size: int = 16
     border: int = 16
     decay_rho: float = 0.8
     orth_gamma: float = 0.5
-    max_iterations: int = 1000
+    max_iterations: int = 100
     stop_epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
@@ -328,6 +337,12 @@ class FseParams:
             )
         if not 1 <= self.max_iterations <= FSE_MAX_ITERATIONS:
             raise ValueError(f"max_iterations must be in [1, {FSE_MAX_ITERATIONS}]")
+        work = self.fft_size**2 * self.max_iterations
+        if work > FSE_MAX_WORK_PER_PIXEL * self.tile_size**2:
+            raise ValueError(
+                f"FSE work per pixel fft_size^2 * max_iterations / tile_size^2 = "
+                f"{work / self.tile_size**2:.0f} exceeds {FSE_MAX_WORK_PER_PIXEL}"
+            )
         if not 0.0 <= self.stop_epsilon < math.inf:
             raise ValueError("stop_epsilon must be finite and >= 0")
 

@@ -203,6 +203,36 @@ def test_synthesize_refuses_fse_work_the_header_cannot_ask_for(
     assert not recon.exists()
 
 
+# tile_size 1, border 127 (fft_size 256), 10000 iterations: every field is
+# within its own bound, but decoding would cost ~1.75 s per hole pixel
+CRAFTED_FSE = ((13, "<H", 1), (15, "<H", 127), (33, "<I", 10_000))
+
+
+def test_synthesize_refuses_fse_work_per_pixel_past_the_bound(tmp_path, capsys):
+    sidecar = gen(tmp_path, "flash_disocclusion", frames=2, seed=1)
+    container = tmp_path / "c.mclf"
+    assert run("analyze", "--input", sidecar, "--output", container, *FAST_FSE) == 0
+    payload = bytearray(container.read_bytes())
+    for offset, fmt, value in CRAFTED_FSE:
+        struct.pack_into(fmt, payload, offset, value)
+    container.write_bytes(bytes(payload))
+    recon = tmp_path / "r.raw"
+    assert run("synthesize", "--input", container, "--output", recon) == 2
+    assert "exceeds 16000" in capsys.readouterr().err
+    assert not recon.exists()
+
+
+def test_analyze_refuses_fse_work_per_pixel_past_the_bound(tmp_path, capsys):
+    sidecar = gen(tmp_path, "flash_disocclusion", frames=2, seed=1)
+    container = tmp_path / "c.mclf"
+    assert run(
+        "analyze", "--input", sidecar, "--output", container,
+        "--fse-tile", "1", "--fse-border", "127", "--fse-iters", "10000",
+    ) == 1
+    assert "exceeds 16000" in capsys.readouterr().err
+    assert not container.exists()
+
+
 def test_compare_header_and_direction(tmp_path):
     sidecar = gen(tmp_path, "flash_disocclusion", seed=2)
     out = tmp_path / "cmp.csv"

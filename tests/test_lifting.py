@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from mclift import fixtures
 from mclift.core import (
     DataFormatError,
     Frame,
@@ -33,6 +34,7 @@ from mclift.lifting import (
     synthesize_sequence,
     write_container,
 )
+from mclift.metrics import boundary_step_metric, encode_lossless, psnr
 
 from conftest import corrupt, hostile_edits, make_frame, make_pair, overwrite
 
@@ -163,6 +165,23 @@ def test_analyze_pair_translated_content(rng):
     # away from any scattered nonzero block, the lowpass equals the reference
     lp = products.subbands.lowpass.samples
     assert np.array_equal(lp[:16, :32], tex[:16, :32])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_default_fse_budget_keeps_the_hole_filling_effect(seed):
+    # Acceptance criteria 7 and 8 at the shipped FseParams() defaults:
+    # filling the holes lowers the boundary step strictly, never grows the
+    # coded lowpass and never raises its PSNR against the reference.
+    ref, cur = fixtures.generate("flash_disocclusion", seed=seed, frames=2)
+    block = analyze_pair(ref, cur, LiftConfig(update_mode=UpdateMode.COPY_UNCONNECTED))
+    filled = analyze_pair(ref, cur, LiftConfig(update_mode=UpdateMode.FSE_FILL))
+    assert filled.conn.hole_mask.any()
+    lp_block, lp_fse = block.subbands.lowpass, filled.subbands.lowpass
+    assert boundary_step_metric(lp_fse, filled.conn) < boundary_step_metric(
+        lp_block, block.conn
+    )
+    assert len(encode_lossless(lp_fse)) <= len(encode_lossless(lp_block))
+    assert psnr(lp_fse, ref) <= psnr(lp_block, ref)
 
 
 @pytest.mark.parametrize("mode", list(UpdateMode))

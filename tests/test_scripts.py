@@ -1,6 +1,9 @@
 import importlib.util
 from pathlib import Path
 
+from mclift.core import FseParams
+from mclift.lifting import read_container
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -23,3 +26,10 @@ def test_experiment_scripts_run(tmp_path):
     images = {p.name for p in (diag_dir / "images").iterdir()}
     assert {"conn_000.ppm", "update_filled_000.ppm", "lowpass_000.pgm",
             "fse_trace.csv"} <= images
+
+
+def test_diagnostics_script_keeps_the_package_fse_budget(tmp_path):
+    # Without --fse-iters the script passes no budget, so analyze uses its own.
+    assert load("export_diagnostics").run(["--out-dir", str(tmp_path)]) == 0
+    bands = read_container(tmp_path / "bands.mclf")
+    assert bands.fse.max_iterations == FseParams().max_iterations

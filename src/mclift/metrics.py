@@ -1,9 +1,21 @@
 """Quality and rate measurement for subband outputs.
 
 The built-in lossless coder stands in for an external wavelet-coefficient
-codec: a horizontal-predictor residual pass followed by a deflate entropy
-stage, tagged with a codec id byte so another coder can be plugged in
-behind the same payload interface.
+codec. It is tagged with a codec id byte so another coder can be plugged
+in behind the same payload interface. Codec 2, the only one read:
+
+1. horizontal-predictor residuals (the first column is predicted from the
+   row above);
+2. the LOCO-I/JPEG-LS error mapping ("zigzag": 0, -1, 1, -2, ... become
+   0, 1, 2, 3, ...) onto unsigned integers of 2 bytes when every residual
+   fits int16, else of 4 bytes after wrapping the residual to int32;
+3. byte planes: every low byte first, then the next byte, and so on;
+4. deflate at level 9 with the run-length strategy ``Z_RLE``.
+
+The payload is only measured (its length is the rate figure), so the
+coded lengths are those of the zlib build in use; another zlib may match
+runs differently and give other lengths, while every build decodes every
+payload.
 """
 
 from __future__ import annotations
@@ -16,7 +28,7 @@ import numpy as np
 
 from .core import ConnectivityMap, DataFormatError, Frame
 
-CODEC_HDIFF_DEFLATE = 1
+CODEC_ZIGZAG_PLANES_RLE = 2
 
 _PAYLOAD_HEADER = struct.Struct("<BBHHB")
 
@@ -72,19 +84,30 @@ def _unresiduals(r: np.ndarray) -> np.ndarray:
     return np.cumsum(acc, axis=1)
 
 
+def _zigzag(r: np.ndarray, sample_width: int) -> np.ndarray:
+    # Wrap to the signed width first. Residuals past the int32 range stay
+    # exact because decoding sums them and wraps the samples mod 2**32.
+    signed = r.astype(f"<i{sample_width}")
+    shift = 8 * sample_width - 1
+    unsigned = f"<u{sample_width}"
+    return (signed.astype(unsigned) << 1) ^ (signed >> shift).astype(unsigned)
+
+
+def _unzigzag(z: np.ndarray) -> np.ndarray:
+    return ((z >> 1) ^ (0 - (z & 1))).view(f"<i{z.itemsize}")
+
+
 def encode_lossless(frame: Frame) -> bytes:
     """Self-contained lossless payload; decode_lossless inverts it bit-exactly."""
     r = _residuals(frame.samples)
-    if -32768 <= r.min() and r.max() <= 32767:
-        sample_width = 2
-        body = r.astype("<i2").tobytes()
-    else:
-        sample_width = 4
-        body = r.astype("<i4").tobytes()
+    sample_width = 2 if -32768 <= r.min() and r.max() <= 32767 else 4
+    z = _zigzag(r, sample_width)
+    planes = z.reshape(-1).view(np.uint8).reshape(-1, sample_width).T.tobytes()
+    deflater = zlib.compressobj(9, zlib.DEFLATED, 15, 8, zlib.Z_RLE)
     header = _PAYLOAD_HEADER.pack(
-        CODEC_HDIFF_DEFLATE, frame.bit_depth, frame.width, frame.height, sample_width
+        CODEC_ZIGZAG_PLANES_RLE, frame.bit_depth, frame.width, frame.height, sample_width
     )
-    return header + zlib.compress(body, 9)
+    return header + deflater.compress(planes) + deflater.flush()
 
 
 def decode_lossless(payload: bytes) -> Frame:
@@ -93,7 +116,7 @@ def decode_lossless(payload: bytes) -> Frame:
     codec_id, bit_depth, width, height, sample_width = _PAYLOAD_HEADER.unpack_from(
         payload, 0
     )
-    if codec_id != CODEC_HDIFF_DEFLATE:
+    if codec_id != CODEC_ZIGZAG_PLANES_RLE:
         raise DataFormatError(f"unknown codec id {codec_id}")
     if sample_width not in (2, 4):
         raise DataFormatError(f"invalid sample width {sample_width}")
@@ -115,9 +138,9 @@ def decode_lossless(payload: bytes) -> Frame:
         )
     if not inflater.eof or inflater.unused_data:
         raise DataFormatError("deflate stream truncated or followed by extra bytes")
-    dtype = "<i2" if sample_width == 2 else "<i4"
-    r = np.frombuffer(body, dtype=dtype).reshape(height, width)
-    return Frame(_unresiduals(r).astype(np.int32), bit_depth)
+    planes = np.frombuffer(body, dtype=np.uint8).reshape(sample_width, -1)
+    z = planes.T.copy().view(f"<u{sample_width}").reshape(height, width)
+    return Frame(_unresiduals(_unzigzag(z)).astype(np.int32), bit_depth)
 
 
 def raw_frame_bytes(frame: Frame) -> int:

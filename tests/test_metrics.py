@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from mclift.core import ConnectivityMap, DataFormatError, Frame
 from mclift.metrics import (
+    CODEC_ZIGZAG_PLANES_RLE,
     boundary_step_metric,
     decode_lossless,
     encode_lossless,
@@ -109,7 +110,7 @@ def test_codec_rejects_extra_bytes_and_overlong_streams():
     payload = encode_lossless(f)
     with pytest.raises(DataFormatError, match="extra bytes"):
         decode_lossless(payload + b"garbage")
-    header = struct.pack("<BBHHB", 1, 8, 2, 2, 2)
+    header = struct.pack("<BBHHB", CODEC_ZIGZAG_PLANES_RLE, 8, 2, 2, 2)
     with pytest.raises(DataFormatError, match="expected 8"):
         decode_lossless(header + zlib.compress(bytes(1 << 20)))
 
@@ -125,9 +126,37 @@ def test_codec_rejects_garbage():
     with pytest.raises(DataFormatError):
         decode_lossless(bytes(payload))
     # zero width or height, bit depth 0 or 17
-    for header in [(1, 8, 0, 1, 2), (1, 8, 1, 0, 2), (1, 0, 1, 1, 2), (1, 17, 1, 1, 2)]:
-        with pytest.raises(DataFormatError):
-            decode_lossless(struct.pack("<BBHHB", *header) + zlib.compress(bytes(2)))
+    cases = [
+        ((8, 0, 1, 2), "invalid dimensions"),
+        ((8, 1, 0, 2), "invalid dimensions"),
+        ((0, 1, 1, 2), "invalid bit depth"),
+        ((17, 1, 1, 2), "invalid bit depth"),
+    ]
+    for fields, message in cases:
+        header = struct.pack("<BBHHB", CODEC_ZIGZAG_PLANES_RLE, *fields)
+        with pytest.raises(DataFormatError, match=message):
+            decode_lossless(header + zlib.compress(bytes(2)))
+    # codec 1 (plain residuals, deflate level 9) is no longer read
+    header = struct.pack("<BBHHB", 1, 8, 1, 1, 2)
+    with pytest.raises(DataFormatError, match="unknown codec id 1"):
+        decode_lossless(header + zlib.compress(bytes(2), 9))
+
+
+def test_codec_four_byte_residuals_round_trip():
+    wide = np.zeros((6, 9), dtype=np.int32)
+    wide[:, 1::2] = 40000
+    frames = [
+        # residuals that leave the int32 range and wrap mod 2**32
+        [[-(2**31), 2**31 - 1, 0]],
+        [[2**31 - 1, -(2**31), 2**31 - 1], [-(2**31), 0, -(2**31)]],
+        # 16-bit steps of +-40000 leave the int16 range
+        wide,
+    ]
+    for samples in frames:
+        f = Frame(np.array(samples, dtype=np.int32), 16)
+        payload = encode_lossless(f)
+        assert payload[6] == 4
+        assert decode_lossless(payload) == f
 
 
 @settings(max_examples=30, deadline=None)
@@ -143,25 +172,48 @@ def test_codec_round_trip_property(samples):
     assert decode_lossless(encode_lossless(f)) == f
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    hnp.arrays(
+        np.int32,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+        elements=st.integers(-(2**31), 2**31 - 1),
+    )
+)
+def test_codec_round_trip_property_full_int32_range(samples):
+    f = Frame(samples, 16)
+    assert decode_lossless(encode_lossless(f)) == f
+
+
 # codec id, bit depth, width, height, sample width
 PAYLOAD_FIELDS = [0, 1, 2, 4, 6]
 SMALL_PAYLOAD = encode_lossless(
     Frame(np.arange(-30, 30, dtype=np.int32).reshape(6, 10), 12)
 )
+WIDE_PAYLOAD = encode_lossless(
+    Frame((np.arange(60, dtype=np.int32).reshape(6, 10) % 3 - 1) * 40000, 16)
+)
+PAYLOADS = (SMALL_PAYLOAD, WIDE_PAYLOAD)
+
+
+def test_codec_payloads_cover_both_sample_widths():
+    assert [payload[6] for payload in PAYLOADS] == [2, 4]
 
 
 def test_codec_parser_hostile_edits_raise_only_data_format_error():
-    for hostile in hostile_edits(SMALL_PAYLOAD, PAYLOAD_FIELDS):
-        try:
-            decode_lossless(hostile)
-        except DataFormatError:
-            pass
+    for payload in PAYLOADS:
+        for hostile in hostile_edits(payload, PAYLOAD_FIELDS):
+            try:
+                decode_lossless(hostile)
+            except DataFormatError:
+                pass
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(data=st.data())
 def test_codec_parser_fuzz_raises_only_data_format_error(data):
-    hostile = corrupt(data, SMALL_PAYLOAD, PAYLOAD_FIELDS)
+    payload = data.draw(st.sampled_from(PAYLOADS))
+    hostile = corrupt(data, payload, PAYLOAD_FIELDS)
     try:
         decode_lossless(hostile)
     except DataFormatError:

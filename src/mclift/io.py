@@ -31,6 +31,11 @@ def frames_from_raw(
 ) -> list[Frame]:
     if width < 1 or height < 1:
         raise DataFormatError(f"invalid frame dimensions {width}x{height}")
+    # The container and the rate coder store each dimension as a u16.
+    if width > 0xFFFF or height > 0xFFFF:
+        raise DataFormatError(
+            f"frame dimensions {width}x{height} exceed the limit of 65535 per side"
+        )
     bps = _bytes_per_sample(bit_depth)
     frame_bytes = width * height * bps
     need = frame_count * frame_bytes

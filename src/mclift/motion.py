@@ -18,26 +18,39 @@ How the search does its work:
 * Every cost is the exact integer sum(cur**2) + sum(ref**2) - 2 * cross,
   taken over the block's clipped extent at every shift; sum(cur**2) is
   the same at every shift of a block, so it is left out without moving
-  the minimum. The cross terms of one block row come from one batched
-  real FFT of its current blocks and one of their reference windows
-  (both zero-padded to Ny x Nx, the smallest 2**a * 3**b >=
-  block_size + 2 * range per axis, 48 x 48 at the defaults), one inverse
-  transform of conj(C) * R and np.rint to int64. sum(ref**2) comes from
-  an int64 integral image of the centred reference (it may wrap on huge
-  frames, but every window sum fits in int64, so the differences are
-  still exact modulo 2**64). Shifts whose block leaves the reference
-  cost int64 max.
+  the minimum. The cross terms of one block row come from batched real
+  FFTs of its current blocks and of their reference windows (both
+  zero-padded to Ny x Nx, the smallest 2**a * 3**b >= block_size +
+  2 * range per axis, 48 x 48 at the defaults), inverse transforms of the
+  products conj(C) * R and np.rint to int64. sum(ref**2) comes from an
+  int64 integral image of the centred reference (it may wrap on huge
+  frames, but every window sum fits in int64). All integer arithmetic is
+  exact modulo 2**64, so every cost is exact while it fits in int64,
+  which b**2 * span**2 < 2**63 guarantees (b = block_size). Shifts whose
+  block leaves the reference cost int64 max.
+* Each centred sample x is split into n balanced base-2**bits digits,
+  x = sum_i d_i * 2**(bits * i), every digit but the last in
+  [-2**(bits - 1), 2**(bits - 1)). Then cross = sum_k X_k * 2**(bits * k),
+  where X_k sums the correlations of the t_k = min(k, n - 1) -
+  max(0, k - n + 1) + 1 digit pairs (i, j) with i + j = k. The products
+  of one weight k are added in the frequency domain and share one
+  inverse transform; each X_k is rounded to int64 on its own and enters
+  the cost as rint(X_k) << (bits * k + 1). n is the smallest count whose
+  bound (below) stays under 0.5, with bits = ceil(L / n) for L the bit
+  length of M; when even 1-bit digits miss it, the search raises
+  ValueError. n = 1 is the plain search: the one digit is the centred
+  sample itself, and its product is formed in place.
 * The costs of each block are permuted into tie-break priority order and
   one argmin picks the winner: argmin returns the first minimum, which is
   the rule above.
-* The rounding is exact while every computed cross term lies within 0.5
-  of its integer value. With u = 2**-53, b = block_size, N = Ny * Nx and
-  eps = 12 u log2(N), the error of each computed cross term is at most
+* The rounding is exact while every computed X_k lies within 0.5 of its
+  integer value. With u = 2**-53, N = Ny * Nx and eps = 12 u log2(N), the
+  error of one correlation of digit planes of magnitude at most A is
 
-      E = M**2 * b * sqrt(N) * (2 eps + 3 u + (eps + u) * b).
+      E(A) = A**2 * b * sqrt(N) * (2 eps + 3 u + (eps + u) * b).
 
-  A block c and its window r have ||c||_2 <= b M, ||c||_1 <= b**2 M and
-  ||r||_2 <= sqrt(N) M. The terms of E, in order:
+  A block c and its window r have ||c||_2 <= b A, ||c||_1 <= b**2 A and
+  ||r||_2 <= sqrt(N) A. The terms of E, in order:
   - The forward transforms err by at most eps ||C||_2 and eps ||R||_2 in
     2-norm (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
     ed., Thm 24.2: log2(N) levels of eta = mu + gamma_4 (sqrt 2 + mu),
@@ -47,24 +60,28 @@ How the search does its work:
     passes charged as log2 of their radix). Each error reaches the
     output as the correlation of an error signal of 2-norm at most
     eps ||c||_2 (or eps ||r||_2) with r (or c), which Cauchy-Schwarz
-    bounds by eps ||c||_2 ||r||_2 <= eps b sqrt(N) M**2 per entry.
+    bounds by eps ||c||_2 ||r||_2 <= eps b sqrt(N) A**2 per entry.
   - The pointwise complex product errs by at most sqrt(2) gamma_2 < 3 u
     per bin, which the inverse turns into at most 3 u ||c||_2 ||r||_2.
   - The inverse transform and its 1/N scaling err by at most
     (eps + u) ||c * r||_2 <= (eps + u) ||c||_1 ||r||_2 (Young's
-    inequality) <= (eps + u) b**2 sqrt(N) M**2.
-  At the defaults (b = 16, N = 48**2) E is 3.4e-6 for 8-bit samples,
-  8.7e-4 for 12-bit and 0.22 for 16-bit ones; the largest error seen on
-  the 24 benchmark datasets (8-bit) is 9.3e-10. A pair whose E reaches
-  0.5, such as subband-range samples of +-2**20, is searched by the
-  direct loop below instead.
-* The direct loop visits the candidates in tie-break priority order and
-  changes a block's best vector only on a strictly smaller cost. Per
-  candidate, one subtraction of the zero-padded current frame and a
-  contiguous window of the zero-padded reference, an in-place square,
-  zeroing past the frame edge and two block reductions give every
-  block's cost, in int32 when block_size**2 * span**2 < 2**31 and int64
-  otherwise.
+    inequality) <= (eps + u) b**2 sqrt(N) A**2.
+  The digit magnitudes: every digit but the last is at most
+  min(2**(bits - 1), M); the last is at most m_(n-1), where m_0 = M and
+  m_(i+1) = floor((m_i + 2**(bits - 1)) / 2**bits). A is the largest of
+  them, M itself when n = 1. Weight k charges E(A) to each of its t_k
+  products, plus the rounding of their sum: adding t_k spectra errs per
+  bin by at most gamma_(t_k - 1) times the sum of their magnitudes,
+  which the inverse turns into at most (t_k - 1) u t_k b sqrt(N) A**2,
+  charged at 2 u for second-order terms. So
+
+      E_k = t_k * (E(A) + 2 (t_k - 1) u b sqrt(N) A**2),
+
+  largest at t_k = n, and E(M) when n = 1. At the defaults (b = 16,
+  N = 48**2) E(M) is 3.4e-6 for 8-bit samples, 8.7e-4 for 12-bit and
+  0.22 for 16-bit ones, so all of them take one digit; the largest error
+  seen on the 24 benchmark datasets (8-bit) is 9.3e-10. Samples of
+  +-2**20, or 16-bit ones at block_size 32, take two digits.
 """
 
 from __future__ import annotations
@@ -145,8 +162,7 @@ def _cross_term_error_bound(
     """A-priori bound on |computed - exact| of one FFT cross term, for
     centred samples of absolute value at most `magnitude`.
 
-    The derivation is in the module docstring; the FFT search is used only
-    while this stays below 0.5.
+    This is E(magnitude) of the derivation in the module docstring.
     """
     u = _UNIT_ROUNDOFF
     n = fft_shape[0] * fft_shape[1]
@@ -155,25 +171,82 @@ def _cross_term_error_bound(
     return float(magnitude) ** 2 * b * math.sqrt(n) * (2 * eps + 3 * u + (eps + u) * b)
 
 
-def _search_fft(
-    cur: np.ndarray,
-    ref: np.ndarray,
-    bs: int,
-    range_y: int,
-    range_x: int,
-    fft_shape: tuple[int, int],
-    order: np.ndarray,
-    centre: int,
+def _digit_split(
+    magnitude: int, block_size: int, fft_shape: tuple[int, int]
+) -> tuple[int, int]:
+    """(n, bits): the fewest balanced base-2**bits digits of centred samples
+    of absolute value at most `magnitude` whose cross terms of every weight
+    round exactly; see the module docstring."""
+    width = max(magnitude.bit_length(), 1)
+    root_n = math.sqrt(fft_shape[0] * fft_shape[1])
+    for count in range(1, width + 1):
+        bits = -(-width // count)
+        half = 1 << (bits - 1)
+        top = magnitude
+        for _ in range(count - 1):
+            top = (top + half) >> bits
+        digit = max(top, min(half, magnitude))
+        sum_error = 2 * (count - 1) * _UNIT_ROUNDOFF * block_size * root_n * digit**2
+        bound = _cross_term_error_bound(digit, block_size, fft_shape)
+        if count * (bound + sum_error) < 0.5:
+            return count, bits
+    raise ValueError(
+        f"no digit split of samples of magnitude {magnitude} keeps the FFT "
+        f"rounding bound below 0.5 at block size {block_size}"
+    )
+
+
+def _balanced_digits(x: np.ndarray, count: int, bits: int) -> list[np.ndarray]:
+    """`count` planes d_i with x == sum(d_i << (bits * i)), every one but the
+    last in [-2**(bits - 1), 2**(bits - 1)); one plane is `x` itself."""
+    half = 1 << (bits - 1)
+    digits = []
+    for _ in range(count - 1):
+        digit = ((x + half) & ((1 << bits) - 1)) - half
+        x = (x - digit) >> bits
+        digits.append(digit)
+    digits.append(x)
+    return digits
+
+
+def _weight_spectra(
+    blocks: list[np.ndarray], windows: list[np.ndarray], fft_shape: tuple[int, int]
+) -> list[np.ndarray]:
+    """Spectrum of the cross term of every digit weight k: the sum over
+    i + j == k of conj(C_i) * R_j, for the digit planes of a block row in
+    `blocks` and of its search windows in `windows`."""
+    spec_c = [np.conjugate(np.fft.rfft2(c, s=fft_shape)) for c in blocks]
+    spectra = [None] * (2 * len(blocks) - 1)
+    for j, window in enumerate(windows):
+        spec_r = np.fft.rfft2(window, s=fft_shape)
+        for i, spec in enumerate(spec_c):
+            if j == len(windows) - 1:
+                spec *= spec_r  # the last read of conj(C_i): multiply in place
+            else:
+                spec = spec * spec_r
+            if spectra[i + j] is None:
+                spectra[i + j] = spec
+            else:
+                spectra[i + j] += spec
+    return spectra
+
+
+def _search(
+    cur: np.ndarray, ref: np.ndarray, bs: int, range_y: int, range_x: int
 ) -> np.ndarray:
     """Flat candidate index of the best vector of every block, by FFT
-    cross-correlation of the frames centred on `centre`."""
-    from numpy import fft
-
+    cross-correlation of the centred frames split into balanced digits."""
     height, width = cur.shape
     blocks_x, blocks_y = grid_dims(width, height, bs)
     grid_h, grid_w = blocks_y * bs, blocks_x * bs
     win_h, win_w = bs + 2 * range_y, bs + 2 * range_x
     shifts_y, shifts_x = 2 * range_y + 1, 2 * range_x + 1
+    order = _candidate_order(range_y, range_x)
+    low = int(min(cur.min(), ref.min()))
+    span = int(max(cur.max(), ref.max())) - low
+    centre = low + span // 2
+    fft_shape = (_fft_length(win_h), _fft_length(win_w))
+    count, bits = _digit_split((span + 1) // 2, bs, fft_shape)
 
     # Zero past the frame edge: clipped blocks then correlate their clipped
     # extent only, and reference windows read zeros outside the frame.
@@ -187,10 +260,16 @@ def _search_fft(
     integral = np.zeros((ref_p.shape[0] + 1, ref_p.shape[1] + 1), dtype=np.int64)
     ref_sq = np.square(ref_p, out=integral[1:, 1:])
     np.cumsum(np.cumsum(ref_sq, axis=0, out=ref_sq), axis=1, out=ref_sq)
-    # Views: blocks[by, bx] is a block, windows[by, bx] its search window.
-    blocks = cur_p.reshape(blocks_y, bs, blocks_x, bs).swapaxes(1, 2)
-    windows = np.lib.stride_tricks.sliding_window_view(ref_p, (win_h, win_w))
-    windows = windows[::bs, ::bs]
+    # Views: blocks[i][by, bx] is digit i of a block, windows[j][by, bx]
+    # digit j of its search window.
+    blocks = [
+        d.reshape(blocks_y, bs, blocks_x, bs).swapaxes(1, 2)
+        for d in _balanced_digits(cur_p, count, bits)
+    ]
+    windows = [
+        np.lib.stride_tricks.sliding_window_view(d, (win_h, win_w))[::bs, ::bs]
+        for d in _balanced_digits(ref_p, count, bits)
+    ]
 
     # Shift index s = d + range: padded row y0 + sy is frame row y0 + dy.
     sy = np.arange(shifts_y)
@@ -203,97 +282,19 @@ def _search_fft(
     for by in range(blocks_y):
         y0 = by * bs
         h = min(bs, height - y0)
-        spectrum = np.conjugate(fft.rfft2(blocks[by], s=fft_shape))
-        spectrum *= fft.rfft2(windows[by], s=fft_shape)
-        cross = fft.irfft2(spectrum, s=fft_shape)[:, :shifts_y, :shifts_x]
-
+        crosses = [
+            np.fft.irfft2(spectrum, s=fft_shape)[:, :shifts_y, :shifts_x]
+            for spectrum in _weight_spectra(
+                [d[by] for d in blocks], [d[by] for d in windows], fft_shape
+            )
+        ]
         band = integral[y0 + h + sy] - integral[y0 + sy]
         cost = (band[:, hi] - band[:, lo]).swapaxes(0, 1)
-        cost -= 2 * np.rint(cross).astype(np.int64)
+        for k, cross in enumerate(crosses):
+            cost -= np.rint(cross).astype(np.int64) << (bits * k + 1)
         invalid_y = (sy < range_y - y0) | (sy + h > height - y0 + range_y)
         cost[invalid_y[None, :, None] | invalid_x[:, None, :]] = _INT64_MAX
         best[by] = order[cost.reshape(blocks_x, -1)[:, order].argmin(axis=1)]
-    return best
-
-
-def _valid_blocks(
-    starts: np.ndarray, ends: np.ndarray, extent: int, shift: int
-) -> tuple[int, int]:
-    """Index range [lo, hi) of the blocks along one axis that stay inside
-    [0, extent) when shifted by `shift`; the valid blocks are contiguous."""
-    ok = np.flatnonzero((starts + shift >= 0) & (ends + shift <= extent))
-    return (int(ok[0]), int(ok[-1]) + 1) if ok.size else (0, 0)
-
-
-def _search_direct(
-    cur: np.ndarray,
-    ref: np.ndarray,
-    bs: int,
-    range_y: int,
-    range_x: int,
-    span: int,
-    order: np.ndarray,
-) -> np.ndarray:
-    """Flat candidate index of the best vector of every block, by one exact
-    integer pass per candidate."""
-    height, width = cur.shape
-    blocks_x, blocks_y = grid_dims(width, height, bs)
-    grid_h, grid_w = blocks_y * bs, blocks_x * bs
-    acc = np.int32 if bs * bs * span * span < 2**31 else np.int64
-
-    # Both frames share one row stride, so the reference window of every
-    # candidate is a contiguous slice of the flattened padded reference.
-    # Columns past grid_w hold wrapped-around samples and are never summed;
-    # the spare reference row keeps the last window inside the buffer.
-    stride = grid_w + 2 * range_x
-    cur_p = np.zeros((grid_h, stride), dtype=acc)
-    cur_p[:height, :width] = cur
-    ref_p = np.zeros((grid_h + 2 * range_y + 1, stride), dtype=acc)
-    ref_p[range_y : range_y + height, range_x : range_x + width] = ref
-    cur_flat = cur_p.ravel()
-    ref_flat = ref_p.ravel()
-    sq = np.empty((grid_h, stride), dtype=acc)
-    sq_flat = sq.ravel()
-    row_sums = np.empty((blocks_y, stride), dtype=acc)
-    costs = np.empty((blocks_y, blocks_x), dtype=acc)
-    # A view, so it follows every in-place update of row_sums.
-    block_sums = row_sums[:, :grid_w].reshape(blocks_y, blocks_x, bs)
-
-    xs0 = np.arange(blocks_x) * bs
-    ys0 = np.arange(blocks_y) * bs
-    xs1 = np.minimum(xs0 + bs, width)
-    ys1 = np.minimum(ys0 + bs, height)
-    rows = [_valid_blocks(ys0, ys1, height, dy) for dy in range(-range_y, range_y + 1)]
-    cols = [_valid_blocks(xs0, xs1, width, dx) for dx in range(-range_x, range_x + 1)]
-
-    # Visiting candidates in priority order with a strict less-than update
-    # realizes the full tie-break rule.
-    best_cost = np.full((blocks_y, blocks_x), _INT64_MAX, dtype=np.int64)
-    best = np.full((blocks_y, blocks_x), order[0], dtype=np.int64)
-    for flat in order.tolist():
-        sy, sx = divmod(flat, 2 * range_x + 1)
-        r0, r1 = rows[sy]
-        c0, c1 = cols[sx]
-        if r0 == r1 or c0 == c1:
-            continue
-        offset = sy * stride + sx
-        np.subtract(cur_flat, ref_flat[offset : offset + sq_flat.size], out=sq_flat)
-        np.multiply(sq_flat, sq_flat, out=sq_flat)
-        # Samples past the frame edge must add nothing to clipped blocks.
-        if grid_h > height:
-            sq[height:] = 0
-        np.add.reduce(sq.reshape(blocks_y, bs, stride), axis=1, out=row_sums)
-        if grid_w > width:
-            row_sums[:, width:grid_w] = 0
-        np.add.reduce(block_sums, axis=2, out=costs)
-
-        # Only blocks whose shifted position stays inside the reference
-        # take part; the others read padding and are skipped.
-        cand = costs[r0:r1, c0:c1]
-        best_here = best_cost[r0:r1, c0:c1]
-        better = cand < best_here
-        np.copyto(best_here, cand, where=better)
-        np.copyto(best[r0:r1, c0:c1], flat, where=better)
     return best
 
 
@@ -313,20 +314,7 @@ def estimate_motion(current: Frame, reference: Frame, cfg: LiftConfig) -> Motion
     # No block stays inside the frame under a shift of a full frame extent.
     range_x = min(cfg.search_range, width - 1)
     range_y = min(cfg.search_range, height - 1)
-    order = _candidate_order(range_y, range_x)
-
-    cur = current.samples
-    ref = reference.samples
-    low = int(min(cur.min(), ref.min()))
-    span = int(max(cur.max(), ref.max())) - low
-    magnitude = (span + 1) // 2
-    fft_shape = (_fft_length(bs + 2 * range_y), _fft_length(bs + 2 * range_x))
-    if _cross_term_error_bound(magnitude, bs, fft_shape) < 0.5:
-        best = _search_fft(
-            cur, ref, bs, range_y, range_x, fft_shape, order, low + span // 2
-        )
-    else:
-        best = _search_direct(cur, ref, bs, range_y, range_x, span, order)
+    best = _search(current.samples, reference.samples, bs, range_y, range_x)
 
     sy, sx = np.divmod(best.ravel(), 2 * range_x + 1)
     vectors = tuple(

@@ -121,6 +121,18 @@ def test_analyze_sidecar_not_an_object_is_data_error(tmp_path):
     assert run("analyze", "--input", sidecar, "--output", tmp_path / "o.mclf") == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+@pytest.mark.parametrize("width,height", [(65536, 1), (1, 65536)])
+def test_dimension_past_u16_is_data_error(tmp_path, capsys, command, width, height):
+    # The container and rate coder headers store each dimension as a u16;
+    # such a dataset used to run the whole transform and then crash.
+    sidecar = gen(tmp_path, "constant", width=width, height=height, frames=2)
+    out = tmp_path / "out"
+    assert run(command, "--input", sidecar, "--output", out) == 2
+    assert "65535" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synthesize_corrupt_container_is_data_error(tmp_path):
     bad = tmp_path / "bad.mclf"
     bad.write_bytes(b"NOPE" + bytes(16))

@@ -223,19 +223,23 @@ def test_matches_oracle_property(
     width, height, bit_depth, block_size, search_range, texture, seed
 ):
     rng = np.random.default_rng(seed)
-    top = (1 << bit_depth) - 1
-    shape = (height, width)
+    cur, ref = _random_texture(rng, texture, (height, width), (1 << bit_depth) - 1)
+    assert_matches_oracle(
+        Frame(cur, bit_depth), Frame(ref, bit_depth), block_size, search_range
+    )
+
+
+def _random_texture(rng, name: str, shape, top: int):
+    """(current, reference) samples in [0, top]."""
     ref = rng.integers(0, top + 1, size=shape)
-    if texture == "noise":
+    if name == "noise":
         cur = rng.integers(0, top + 1, size=shape)
-    elif texture == "shifted":
+    elif name == "shifted":
         cur = np.roll(ref, tuple(rng.integers(-3, 4, size=2)), axis=(0, 1))
     else:  # extremes only: full-span samples and many exact ties
         ref = top * rng.integers(0, 2, size=shape)
         cur = top * rng.integers(0, 2, size=shape)
-    assert_matches_oracle(
-        Frame(cur, bit_depth), Frame(ref, bit_depth), block_size, search_range
-    )
+    return cur, ref
 
 
 def _tie_texture(name: str, width: int, height: int, low: int, high: int):
@@ -274,45 +278,46 @@ def test_oracle_exact_ties(texture, bit_depth):
     assert_matches_oracle(cur, ref, 8, 4)
 
 
-def _spy_on_search_paths(monkeypatch) -> list[str]:
-    calls = []
-    for name in ("_search_fft", "_search_direct"):
-        real = getattr(motion, name)
+def _spy_on_digit_count(monkeypatch) -> list[int]:
+    counts = []
+    real = motion._digit_split
 
-        def spy(*args, _real=real, _name=name):
-            calls.append(_name)
-            return _real(*args)
+    def spy(*args):
+        count, bits = real(*args)
+        counts.append(count)
+        return count, bits
 
-        monkeypatch.setattr(motion, name, spy)
-    return calls
+    monkeypatch.setattr(motion, "_digit_split", spy)
+    return counts
 
 
 def test_full_span_16bit_takes_fft_path_at_defaults(monkeypatch):
     # 16-bit samples at the default block size and range stay below the
-    # bound (0.22 < 0.5), and exact ties must still go to the priority order.
+    # bound (0.22 < 0.5) with one digit, and exact ties must still go to the
+    # priority order.
     cfg = LiftConfig()
     cur_s, ref_s = _tie_texture("checkerboard", 40, 36, 0, 65535)
     cur, ref = Frame(cur_s, 16), Frame(ref_s, 16)
     assert _ties_at_interior_block(cur, ref, 16, 4) > 1
-    calls = _spy_on_search_paths(monkeypatch)
+    counts = _spy_on_digit_count(monkeypatch)
     assert_matches_oracle(cur, ref, cfg.block_size, cfg.search_range)
-    assert calls == ["_search_fft"]
+    assert counts == [1]
 
 
-def test_subband_range_takes_direct_path(monkeypatch):
-    # Samples of +-2**20 put the FFT rounding bound far above 0.5.
+def test_subband_range_takes_several_digits(monkeypatch):
+    # Samples of +-2**20 put the one-digit rounding bound far above 0.5.
     cur_s, ref_s = _tie_texture("stripes_x", 24, 20, -(1 << 20), 1 << 20)
     cur, ref = Frame(cur_s, 8), Frame(ref_s, 8)
-    calls = _spy_on_search_paths(monkeypatch)
+    counts = _spy_on_digit_count(monkeypatch)
     assert_matches_oracle(cur, ref, 8, 3)
-    assert calls == ["_search_direct"]
+    assert len(counts) == 1 and counts[0] > 1
 
 
 @pytest.mark.parametrize("side", [0, 1])
 def test_path_switches_exactly_at_the_bound(monkeypatch, side):
     # The largest centred magnitude M with a bound below 0.5 at the
-    # defaults: a pair of span 2M has magnitude M and takes the FFT path,
-    # one of span 2M + 1 has magnitude M + 1 and does not.
+    # defaults: a pair of span 2M has magnitude M and takes one digit,
+    # one of span 2M + 1 has magnitude M + 1 and takes two.
     shape = (motion._fft_length(46), motion._fft_length(46))
     limit = 1
     while motion._cross_term_error_bound(limit + 1, 16, shape) < 0.5:
@@ -320,21 +325,79 @@ def test_path_switches_exactly_at_the_bound(monkeypatch, side):
     assert 32768 < limit < 65536
     cur_s, ref_s = _tie_texture("stripes_y", 33, 35, 0, 2 * limit + side)
     cur, ref = Frame(cur_s, 16), Frame(ref_s, 16)
-    calls = _spy_on_search_paths(monkeypatch)
+    counts = _spy_on_digit_count(monkeypatch)
     assert_matches_oracle(cur, ref, 16, 15)
-    assert calls == [["_search_fft"], ["_search_direct"]][side]
+    assert counts == [1 + side]
 
 
 def test_samples_far_from_zero_are_centred(monkeypatch):
-    # A span of 255 around 2**28 takes the FFT path. Uncentred, products of
+    # A span of 255 around 2**28 takes one digit. Uncentred, products of
     # 2**28-sized samples would carry rounding errors of thousands and
     # break the exact ties of this texture at random.
     base = 1 << 28
     cur_s, ref_s = _tie_texture("checkerboard", 64, 48, base, base + 255)
     cur, ref = Frame(cur_s, 8), Frame(ref_s, 8)
-    calls = _spy_on_search_paths(monkeypatch)
+    counts = _spy_on_digit_count(monkeypatch)
     assert_matches_oracle(cur, ref, 16, 15)
-    assert calls == ["_search_fft"]
+    assert counts == [1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    width=st.integers(1, 24),
+    height=st.integers(1, 24),
+    span_bits=st.integers(16, 24),
+    block_size=st.integers(1, 24),
+    search_range=st.integers(0, 8),
+    texture=st.sampled_from(["noise", "shifted", "two-level"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_wide_sample_ranges_match_oracle(
+    width, height, span_bits, block_size, search_range, texture, seed
+):
+    # Spans of 2**16 to 2**24 around an arbitrary offset: depending on the
+    # block size and range, one digit or several.
+    rng = np.random.default_rng(seed)
+    base = int(rng.integers(-(1 << 26), 1 << 26))
+    cur, ref = _random_texture(rng, texture, (height, width), (1 << span_bits) - 1)
+    assert_matches_oracle(
+        Frame(base + cur, 8), Frame(base + ref, 8), block_size, search_range
+    )
+
+
+def test_wide_sample_ranges_reach_both_digit_counts(monkeypatch):
+    # The property above covers one-digit and multi-digit searches alike.
+    counts = _spy_on_digit_count(monkeypatch)
+    test_wide_sample_ranges_match_oracle()
+    assert 1 in counts
+    assert any(count > 1 for count in counts)
+
+
+@pytest.mark.parametrize("largest_digit,count", [(1 << 7, 2), (1 << 3, 4), (1, 16)])
+def test_forced_digit_counts_match_oracle(monkeypatch, rng, largest_digit, count):
+    # A bound met only by small digits forces more digits than rounding
+    # needs, down to 1-bit ones; the costs must stay exact at every count.
+    real = motion._cross_term_error_bound
+    monkeypatch.setattr(
+        motion,
+        "_cross_term_error_bound",
+        lambda magnitude, *args: real(magnitude, *args) if magnitude <= largest_digit else 1.0,
+    )
+    counts = _spy_on_digit_count(monkeypatch)
+    # Two levels far apart tie many shifts on the high digits; small noise
+    # on top leaves the decision to the low ones.
+    cur, ref = _random_texture(rng, "two-level", (18, 21), 255)
+    cur = cur * 256 + rng.integers(0, 256, size=cur.shape)
+    ref = ref * 256 + rng.integers(0, 256, size=ref.shape)
+    assert_matches_oracle(Frame(cur, 16), Frame(ref, 16), 8, 3)
+    assert counts == [count]
+
+
+def test_unreachable_bound_raises_instead_of_looping(monkeypatch, rng):
+    monkeypatch.setattr(motion, "_cross_term_error_bound", lambda *args: 1.0)
+    cur, ref = make_pair(rng, 16, 16, 8)
+    with pytest.raises(ValueError, match="rounding bound"):
+        estimate_motion(cur, ref, LiftConfig(8, 2))
 
 
 def test_bound_figures_quoted_in_docstring():

@@ -11,16 +11,25 @@ Implementation choices for the parts the update-step contract leaves open:
 
 * Residual bookkeeping happens in the frequency domain. One FFT of the
   weighted signal and one of the weighting window are computed per tile;
-  every iteration then only subtracts a shifted copy of the window
+  every iteration then only subtracts shifted copies of the window
   spectrum, since DFT{w * phi_u}[k] == W[k - u]. The shifted copies are
   views into a 2x2 tiling of W built once per tile, not rolled arrays.
+* The weighted signal is real, so its residual spectrum is Hermitian and
+  is kept only on the half plane kx <= size/2 (rfft2, size x (size/2+1)).
+  Selection and both updates of an iteration run on that half; the
+  coefficients are written out to the full grid once, at the end.
 * The spatial weighting window is decay_rho ** (euclidean distance from
   the tile center) on available pixels and exactly 0 elsewhere. Hole
   pixels, pixels outside the frame, and pixels beyond the tile + border
   support square never contribute, including holes owned by neighboring
   tiles, which keeps the result independent of tile processing order.
 * Selection maximizes |weighted residual spectrum|^2 with no additional
-  frequency weighting. Exact ties resolve to the lowest (ky, kx) index.
+  frequency weighting. Exact ties resolve to the lowest (ky, kx) index
+  with kx <= size/2. A maximum and its conjugate partner carry the same
+  basis pair, so this picks the same pair as a search of the full plane.
+  Distinct pairs whose magnitudes are equal only in exact arithmetic (a
+  support that is nonzero on one column has a flat |spectrum| along kx)
+  differ by rounding, and rounding decides between them.
 * A selected basis and its conjugate partner are updated jointly with
   conjugate coefficients, so the spatial model stays real-valued. For
   orth_gamma <= 1 this makes the weighted residual energy non-increasing
@@ -127,8 +136,9 @@ def fse_tile_iterate(
     the spatial emphasis (forced to zero on unavailable pixels here).
 
     Returns the model's coefficient grid, an fft_size x fft_size complex
-    spectrum that is nonzero only at the selected (ky, kx) bins, and the
-    weighted residual energy before the first and after every iteration.
+    spectrum that is conjugate-symmetric and nonzero only at the selected
+    (ky, kx) bins and their partners, and the weighted residual energy
+    before the first and after every iteration.
     """
     size = params.fft_size
     avail = np.asarray(available_mask, dtype=bool)
@@ -139,18 +149,15 @@ def fse_tile_iterate(
     w = np.where(avail, np.asarray(weight_window, dtype=np.float64), 0.0)
     f = np.where(avail, np.asarray(support, dtype=np.float64), 0.0)
 
+    half = size // 2 + 1
     window_spectrum = np.fft.fft2(w)
-    # DFT{w * phi_u} is the window spectrum circularly shifted by u; every
-    # such shift is a view into a 2x2 tiling of it.
+    # DFT{w * phi_u} is the window spectrum circularly shifted by u; the
+    # half plane of every such shift is a view into a 2x2 tiling of it:
+    # W[k - u] starts at (size - uy, size - ux), W[k + u] at (uy, ux).
     tiled = np.tile(window_spectrum, (2, 2))
-
-    def shifted(uy: int, ux: int) -> np.ndarray:
-        return tiled[size - uy : 2 * size - uy, size - ux : 2 * size - ux]
-
     w_total = float(window_spectrum[0, 0].real)
     wf = w * f
-    residual_spectrum = np.fft.fft2(wf)
-    coeffs = np.zeros((size, size), dtype=np.complex128)
+    residual = np.fft.rfft2(wf)
 
     energy = float(np.sum(wf * f))
     trace = [energy]
@@ -159,52 +166,63 @@ def fse_tile_iterate(
     # Work buffers reused by every iteration: squared real and imaginary
     # parts interleaved as they lie in memory, |residual|^2, and one
     # step * shifted-spectrum product.
-    residual_parts = residual_spectrum.view(np.float64).reshape(-1)
-    squares = np.empty(2 * size * size)
-    mag2 = np.empty(size * size)
-    prod = np.empty((size, size), dtype=np.complex128)
+    residual_parts = residual.view(np.float64).reshape(-1)
+    squares = np.empty(2 * size * half)
+    real_squares, imag_squares = squares[0::2], squares[1::2]
+    mag2 = np.empty(size * half)
+    prod = np.empty((size, half), dtype=np.complex128)
     gamma = params.orth_gamma
+    # Summed step per selected half-plane bin, keyed by flat index.
+    steps: dict[int, complex] = {}
 
     iterations = 0
     while iterations < params.max_iterations and energy > threshold:
         np.square(residual_parts, out=squares)
-        np.add(squares[0::2], squares[1::2], out=mag2)
+        np.add(real_squares, imag_squares, out=mag2)
         idx = int(mag2.argmax())
         if mag2[idx] == 0.0:
             break
-        uy, ux = divmod(idx, size)
-        conj_uy, conj_ux = (-uy) % size, (-ux) % size
-        projection = residual_spectrum[uy, ux]
-        if (uy, ux) == (conj_uy, conj_ux):
-            # Self-conjugate bin (real basis function): real coefficient.
+        uy, ux = divmod(idx, half)
+        conj_uy, conj_ux = -uy % size, -ux % size
+        projection = residual.item(idx)
+        if uy == conj_uy and ux == conj_ux:
+            # Self-conjugate bin (real basis function): real coefficient,
+            # and W[k - u] == W[k + u].
             step = gamma * projection.real / w_total
-            coeffs[uy, ux] += step
-            np.multiply(step, shifted(uy, ux), out=prod)
-            np.subtract(residual_spectrum, prod, out=residual_spectrum)
+            np.multiply(step, tiled[uy : uy + size, ux : ux + half], out=prod)
+            np.subtract(residual, prod, out=residual)
             energy += step * step * w_total - 2.0 * step * projection.real
         else:
             step = gamma * projection / w_total
-            coeffs[uy, ux] += step
-            coeffs[conj_uy, conj_ux] += step.conjugate()
-            np.multiply(step, shifted(uy, ux), out=prod)
-            np.subtract(residual_spectrum, prod, out=residual_spectrum)
-            np.multiply(step.conjugate(), shifted(conj_uy, conj_ux), out=prod)
-            np.subtract(residual_spectrum, prod, out=residual_spectrum)
-            # Python complex products round exactly as numpy's scalar ones
-            # (re*re - im*im, re*im + im*re) at a fifth of the call cost.
-            # The step keeps numpy's division, which rounds differently.
-            s = complex(step)
-            p = complex(projection)
-            w_double = complex(window_spectrum[(2 * uy) % size, (2 * ux) % size])
+            step_conj = step.conjugate()
+            y0, x0 = size - uy, size - ux
+            np.multiply(step, tiled[y0 : y0 + size, x0 : x0 + half], out=prod)
+            np.subtract(residual, prod, out=residual)
+            np.multiply(step_conj, tiled[uy : uy + size, ux : ux + half], out=prod)
+            np.subtract(residual, prod, out=residual)
+            w_double = window_spectrum.item((2 * uy) % size, (2 * ux) % size)
             energy += (
-                -4.0 * (s.conjugate() * p).real
-                + 2.0 * (s * s.conjugate()).real * w_total
-                + 2.0 * (s * s * w_double.conjugate()).real
+                -4.0 * (step_conj * projection).real
+                + 2.0 * (step * step_conj).real * w_total
+                + 2.0 * (step * step * w_double.conjugate()).real
             )
-        energy = max(energy, 0.0)
+        steps[idx] = steps.get(idx, 0.0) + step
+        if energy < 0.0:
+            energy = 0.0
         trace.append(energy)
         iterations += 1
 
+    coeffs = np.zeros((size, size), dtype=np.complex128)
+    bins = np.fromiter(steps, dtype=np.intp, count=len(steps))
+    values = np.fromiter(steps.values(), dtype=np.complex128, count=len(steps))
+    ky, kx = np.divmod(bins, half)
+    coeffs[ky, kx] = values
+    # Every selected bin's conjugate partner gets the conjugate step; the
+    # partners are distinct, but on the kx = 0 and kx = size/2 columns they
+    # may be selected bins themselves, hence the add.
+    partner_y, partner_x = -ky % size, -kx % size
+    paired = (partner_y != ky) | (partner_x != kx)
+    coeffs[partner_y[paired], partner_x[paired]] += values[paired].conjugate()
     return coeffs, trace
 
 
@@ -249,9 +267,9 @@ def _fill_one_tile(
         return None, stats
     coeffs, trace = fse_tile_iterate(vals, avail, base_weights, params)
     size = params.fft_size
-    # The coefficients are conjugate-symmetric, so the imaginary part of the
-    # spatial model is numerical noise.
-    spatial = (np.fft.ifft2(coeffs) * (size * size)).real
+    # The coefficients are conjugate-symmetric, so the spatial model is real
+    # and follows from their half plane.
+    spatial = np.fft.irfft2(coeffs[:, : size // 2 + 1], s=(size, size), norm="forward")
     fill = spatial[hy + params.border, hx + params.border]
     stats = TileStats(plan.tile_y, plan.tile_x, len(trace) - 1, trace)
     return fill, stats
@@ -272,6 +290,7 @@ def fse_reconstruct(
     values = field.values
     out = values.copy()
     all_stats = []
+    degenerate_holes = 0
     for plan in plan_tiles(holes, params):
         hy, hx = np.nonzero(
             holes[
@@ -281,14 +300,14 @@ def fse_reconstruct(
         )
         fill, stats = _fill_one_tile(plan, hy, hx, values, holes, base_weights, params)
         if fill is None:
-            logger.warning(
-                "tile (%d,%d) has no available support; filling %d holes with 0",
-                plan.tile_y,
-                plan.tile_x,
-                hy.size,
-            )
-            out[plan.tile_y + hy, plan.tile_x + hx] = 0.0
-        else:
-            out[plan.tile_y + hy, plan.tile_x + hx] = fill
+            degenerate_holes += hy.size
+            fill = 0.0
+        out[plan.tile_y + hy, plan.tile_x + hx] = fill
         all_stats.append(stats)
+    if degenerate_holes:
+        logger.warning(
+            "no available support in %d tile(s); filling their %d hole(s) with 0",
+            sum(s.degenerate for s in all_stats),
+            degenerate_holes,
+        )
     return UpdateField(values=out, hole_mask=holes), all_stats

@@ -43,7 +43,7 @@ from .motion import estimate_motion, motion_from_bytes, motion_to_bytes
 _CONTAINER_MAGIC = b"MCLF"
 # The version also names the update arithmetic (weights and FSE fill), which
 # the decoder recomputes: any change that moves an update value must bump it.
-_CONTAINER_VERSION = 2
+_CONTAINER_VERSION = 3
 # magic, version, bit_depth, width, height, pair_count, mode, FseParams fields
 _CONTAINER_HEADER = struct.Struct("<4sBBHHHBHHddId")
 _CRC = struct.Struct("<I")

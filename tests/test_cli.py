@@ -215,6 +215,19 @@ def test_synthesize_refuses_fse_work_the_header_cannot_ask_for(
     assert not recon.exists()
 
 
+def test_synthesize_refuses_a_v2_container(tmp_path, capsys):
+    sidecar = gen(tmp_path, "flash_disocclusion", frames=2, seed=1)
+    container = tmp_path / "c.mclf"
+    assert run("analyze", "--input", sidecar, "--output", container, *FAST_FSE) == 0
+    payload = bytearray(container.read_bytes())
+    payload[4] = 2
+    container.write_bytes(bytes(payload))
+    recon = tmp_path / "r.raw"
+    assert run("synthesize", "--input", container, "--output", recon) == 2
+    assert "unsupported container version 2" in capsys.readouterr().err
+    assert not recon.exists()
+
+
 # tile_size 1, border 127 (fft_size 256), 10000 iterations: every field is
 # within its own bound, but decoding would cost ~1.75 s per hole pixel
 CRAFTED_FSE = ((13, "<H", 1), (15, "<H", 127), (33, "<I", 10_000))

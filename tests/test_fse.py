@@ -3,14 +3,18 @@ import logging
 import numpy as np
 import pytest
 
-from mclift.core import FseParams, UpdateField
+from mclift.core import FseParams, LiftConfig, UpdateField, UpdateMode
+from mclift.fixtures import generate
 from mclift.fse import (
     _fill_one_tile,
+    _tile_inputs,
     fse_reconstruct,
     fse_tile_iterate,
     plan_tiles,
     weight_grid,
 )
+from mclift.lifting import analyze_sequence
+from test_golden import FIXTURES
 
 SMALL = FseParams(tile_size=8, border=8, max_iterations=100)
 
@@ -184,10 +188,16 @@ def test_degenerate_tile_filled_with_zero(caplog):
     with caplog.at_level(logging.WARNING, logger="mclift.fse"):
         out, stats = fse_reconstruct(field, params)
     assert np.all(out.values == 0.0)
-    assert all(s.degenerate for s in stats)
-    assert any("no available support" in r.message for r in caplog.records)
+    assert len(stats) == 4 and all(s.degenerate for s in stats)
+    # One warning per call, carrying the tile and hole counts.
+    assert [r.getMessage() for r in caplog.records] == [
+        "no available support in 4 tile(s); filling their 256 hole(s) with 0"
+    ]
 
 
+# The full-spectrum loop, kept as written as the reference: the half-plane
+# loop rounds differently, so `assert_matches_frozen` compares against it
+# within a tolerance, not bit for bit.
 def frozen_tile_iterate(support, available_mask, weight_window, params):
     """The greedy loop as it stood before its work buffers were reused: a
     frozen reference that the coefficient grid and the energy trace of
@@ -245,10 +255,18 @@ def frozen_tile_iterate(support, available_mask, weight_window, params):
 
 
 def assert_matches_frozen(support, avail, window, params):
+    """The half-plane loop selects the same bins for the same number of
+    iterations as the full-spectrum reference; its grid and trace agree
+    with the reference's to 1e-9 of their largest magnitude (the two FFTs
+    round differently, so not bit for bit, and an energy that falls to
+    near zero keeps the rounding error of the start)."""
     grid, trace = fse_tile_iterate(support, avail, window, params)
     ref_grid, ref_trace = frozen_tile_iterate(support, avail, window, params)
-    assert np.array_equal(grid, ref_grid)
-    assert trace == ref_trace
+    assert np.array_equal(np.argwhere(grid), np.argwhere(ref_grid))
+    assert len(trace) == len(ref_trace)
+    for got, want in ((grid, ref_grid), (np.array(trace), np.array(ref_trace))):
+        scale = np.abs(want).max()
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * scale)
     return grid, trace
 
 
@@ -311,3 +329,83 @@ def test_iterate_matches_frozen_on_zero_spectrum_break():
     grid, trace = assert_matches_frozen(np.ones((32, 32)), avail, window, params)
     assert trace == [1e-170]
     assert not grid.any()
+
+
+def test_iterate_matches_frozen_when_the_full_maximum_lies_past_the_half_plane():
+    # A cosine puts a conjugate pair of equal maxima at (3, 40) and (61, 24).
+    # The full-spectrum argmax lands on (3, 40), with kx > size/2; the half
+    # plane holds only its partner (61, 24). Both loops select the same pair
+    # and give the same conjugate coefficients.
+    params = FseParams(max_iterations=40, stop_epsilon=0.0)
+    size = params.fft_size
+    yy, xx = np.mgrid[0:size, 0:size]
+    support = 25.0 * np.cos(2 * np.pi * (3 * yy + 40 * xx) / size + 0.3)
+    avail = np.zeros((size, size), dtype=bool)
+    avail[6:58, 6:58] = True
+    avail[24:40, 24:40] = False
+    window = weight_grid(params)
+    spectrum = np.fft.fft2(np.where(avail, window * support, 0.0))
+    peak = np.unravel_index(np.argmax(np.abs(spectrum) ** 2), spectrum.shape)
+    assert tuple(int(i) for i in peak) == (3, 40)
+
+    params1 = FseParams(max_iterations=1, stop_epsilon=0.0)
+    grid1, _ = assert_matches_frozen(support, avail, window, params1)
+    assert np.argwhere(grid1).tolist() == [[3, 40], [61, 24]]
+    assert grid1[61, 24] == grid1[3, 40].conjugate()
+    assert_matches_frozen(support, avail, window, params)
+
+
+def frozen_fill(field, params):
+    """Hole fill of `fse_reconstruct` with the full-spectrum reference loop
+    and the full inverse FFT."""
+    out = field.values.copy()
+    size = params.fft_size
+    for plan in plan_tiles(field.hole_mask, params):
+        vals, avail = _tile_inputs(plan, field.values, field.hole_mask, params)
+        if not avail.any():
+            continue
+        coeffs, _ = frozen_tile_iterate(vals, avail, weight_grid(params), params)
+        spatial = (np.fft.ifft2(coeffs) * (size * size)).real
+        rows = slice(plan.tile_y, plan.tile_y + plan.tile_h)
+        cols = slice(plan.tile_x, plan.tile_x + plan.tile_w)
+        hy, hx = np.nonzero(field.hole_mask[rows, cols])
+        out[plan.tile_y + hy, plan.tile_x + hx] = spatial[hy + params.border,
+                                                          hx + params.border]
+    return out
+
+
+def assert_fill_cannot_drift(field, params):
+    """Every hole value lies within 1e-9 of the full-spectrum fill and
+    farther from the nearest integer than from that fill, so flooring it
+    into the lowpass band gives the same integer either way."""
+    filled, _ = fse_reconstruct(field, params)
+    holes = field.hole_mask
+    value = filled.values[holes]
+    reference = frozen_fill(field, params)[holes]
+    drift = np.abs(value - reference)
+    assert drift.max() <= 1e-9
+    floor_margin = np.abs(value - np.round(value))
+    assert np.all(floor_margin > drift)
+    assert np.array_equal(np.floor(value), np.floor(reference))
+    return int(holes.sum())
+
+
+@pytest.mark.parametrize("kind", sorted(FIXTURES))
+def test_golden_fixture_fill_cannot_drift(kind):
+    seq = generate(kind, **FIXTURES[kind])
+    cfg = LiftConfig(update_mode=UpdateMode.FSE_FILL)
+    _, products = analyze_sequence(seq, cfg)
+    checked = sum(
+        assert_fill_cannot_drift(p.weighted_update, cfg.fse) for p in products
+    )
+    assert checked > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_field_fill_cannot_drift(seed):
+    rng = np.random.default_rng(seed)
+    holes = rng.random((80, 72)) < 0.08
+    holes[30:44, 20:41] = True
+    field = field_with_holes(rng.normal(scale=40.0, size=(80, 72)), holes)
+    for params in (FseParams(), SMALL):
+        assert assert_fill_cannot_drift(field, params) == holes.sum()

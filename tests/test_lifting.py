@@ -338,6 +338,17 @@ def test_container_v1_is_refused(rng):
         container_from_bytes(payload[:4] + b"\x01" + payload[5:])
 
 
+def test_container_v2_is_refused(rng):
+    # v2 containers were written by the full-spectrum FSE loop, whose fill
+    # differs from the half-plane loop's in the last bits.
+    frames = tuple(make_frame(rng, 16, 16, 8) for _ in range(2))
+    bands, _ = analyze_sequence(Sequence(frames), fast_cfg())
+    payload = container_to_bytes(bands)
+    assert payload[4] == 3
+    with pytest.raises(DataFormatError, match="unsupported container version 2"):
+        container_from_bytes(payload[:4] + b"\x02" + payload[5:])
+
+
 def _frame_offset(payload: bytes, frame: Frame) -> int:
     return payload.index(frame.samples.astype("<i4").tobytes())
 

@@ -159,34 +159,9 @@ class MotionVector(NamedTuple):
     dy: int
 
 
-class BlockRegion(NamedTuple):
-    """One block of the compensation grid, clipped to the frame."""
-
-    index: int
-    bx: int
-    by: int
-    x0: int
-    y0: int
-    w: int
-    h: int
-
-
 def grid_dims(width: int, height: int, block_size: int) -> tuple[int, int]:
     """Number of blocks along x and y; boundary blocks are clipped."""
     return -(-width // block_size), -(-height // block_size)
-
-
-def iter_blocks(width: int, height: int, block_size: int) -> Iterator[BlockRegion]:
-    blocks_x, blocks_y = grid_dims(width, height, block_size)
-    index = 0
-    for by in range(blocks_y):
-        y0 = by * block_size
-        h = min(block_size, height - y0)
-        for bx in range(blocks_x):
-            x0 = bx * block_size
-            w = min(block_size, width - x0)
-            yield BlockRegion(index, bx, by, x0, y0, w, h)
-            index += 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,6 +201,38 @@ class MotionField:
             and self.blocks_y == other.blocks_y
             and self.vectors == other.vectors
         )
+
+
+def compensation_source(motion: MotionField, width: int, height: int) -> np.ndarray:
+    """The block compensation as one map: for every pixel (y, x) of the
+    current frame, the flat index (y + dy) * width + (x + dx) of the
+    reference pixel that the vector (dx, dy) of its block points at.
+
+    Prediction gathers through this map and the update step scatters back
+    along it. Memory grows with the frame, not with the block size: the
+    per-block shifts are expanded by the blocks' clipped extents. Raises
+    ValueError if the field's grid does not match the frame, or naming the
+    first block in raster order whose clipped extent lands outside it.
+    """
+    if not motion.matches_frame(width, height):
+        raise ValueError("motion field geometry does not match frame")
+    bs = motion.block_size
+    dx, dy = np.array(motion.vectors, dtype=np.int64).reshape(
+        motion.blocks_y, motion.blocks_x, 2
+    ).transpose(2, 0, 1)
+    x0 = np.arange(motion.blocks_x) * bs
+    y0 = np.arange(motion.blocks_y)[:, None] * bs
+    w = np.minimum(bs, width - x0)
+    h = np.minimum(bs, height - y0)
+    outside = (x0 + dx < 0) | (x0 + w + dx > width)
+    outside |= (y0 + dy < 0) | (y0 + h + dy > height)
+    if outside.any():
+        by, bx = np.argwhere(outside)[0].tolist()
+        v = motion.vector_at(bx, by)
+        raise ValueError(f"block ({bx},{by}) vector {v} lands outside the frame")
+    source = np.repeat(np.repeat(dy * width + dx, h[:, 0], axis=0), w, axis=1)
+    source += np.arange(height * width).reshape(height, width)
+    return source
 
 
 @dataclass(frozen=True, eq=False)

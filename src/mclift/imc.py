@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ConnectivityMap, Frame, MotionField, UpdateField, iter_blocks
+from .core import ConnectivityMap, Frame, MotionField, UpdateField, compensation_source
 
 
 class ConnectivityStats(NamedTuple):
@@ -28,27 +28,19 @@ def imc_scatter(
     """Scatter highpass blocks back along their vectors.
 
     Returns the raw accumulated sums (not yet weighted) and the per-pixel
-    contribution counts. Sums are accumulated in integer arithmetic, so the
-    result does not depend on block traversal order.
+    contribution counts, both binned over the compensation map. The float64
+    sums are exact while every partial sum is an integer below 2**53, so
+    they do not depend on summation order. Data read from a dataset always
+    meets this: |highpass| < 2**16 and a pixel takes at most 2**32
+    contributions. Analysis and synthesis share this code, so the round
+    trip is exact in every case.
     """
     height, width = highpass.samples.shape
-    if not motion.matches_frame(width, height):
-        raise ValueError("motion field geometry does not match frame")
-    sums = np.zeros((height, width), dtype=np.int64)
-    counts = np.zeros((height, width), dtype=np.int32)
-    hp = highpass.samples
-    for blk in iter_blocks(width, height, motion.block_size):
-        v = motion.vectors[blk.index]
-        ty, tx = blk.y0 + v.dy, blk.x0 + v.dx
-        if ty < 0 or tx < 0 or ty + blk.h > height or tx + blk.w > width:
-            raise ValueError(
-                f"block ({blk.bx},{blk.by}) vector {v} lands outside the frame"
-            )
-        sums[ty : ty + blk.h, tx : tx + blk.w] += hp[
-            blk.y0 : blk.y0 + blk.h, blk.x0 : blk.x0 + blk.w
-        ]
-        counts[ty : ty + blk.h, tx : tx + blk.w] += 1
-    accum = UpdateField(values=sums.astype(np.float64), hole_mask=counts == 0)
+    source = compensation_source(motion, width, height).ravel()
+    size = height * width
+    sums = np.bincount(source, weights=highpass.samples.ravel(), minlength=size)
+    counts = np.bincount(source, minlength=size).reshape(height, width)
+    accum = UpdateField(values=sums.reshape(height, width), hole_mask=counts == 0)
     return accum, ConnectivityMap(counts)
 
 

@@ -32,8 +32,8 @@ from .core import (
     UpdateField,
     UpdateMode,
     VerificationError,
+    compensation_source,
     floor_samples,
-    iter_blocks,
 )
 from .fse import TileStats, fse_reconstruct
 from .imc import apply_connectivity_weights, imc_scatter
@@ -93,7 +93,6 @@ class SequenceBands:
     fse: FseParams
     has_trailing: bool
     crcs: tuple[int, ...]
-    axis_label: str = "time"
 
     @property
     def pair_count(self) -> int:
@@ -114,23 +113,11 @@ class SequenceBands:
 
 
 def mc_predict(reference: Frame, motion: MotionField) -> Frame:
-    """Assemble the block-compensated predictor; each pixel written once."""
+    """Assemble the block-compensated predictor by a gather through the
+    compensation map; each pixel is read once."""
     height, width = reference.samples.shape
-    if not motion.matches_frame(width, height):
-        raise ValueError("motion field geometry does not match frame")
-    ref = reference.samples
-    out = np.empty((height, width), dtype=np.int32)
-    for blk in iter_blocks(width, height, motion.block_size):
-        v = motion.vectors[blk.index]
-        sy, sx = blk.y0 + v.dy, blk.x0 + v.dx
-        if sy < 0 or sx < 0 or sy + blk.h > height or sx + blk.w > width:
-            raise ValueError(
-                f"block ({blk.bx},{blk.by}) vector {v} reads outside the reference"
-            )
-        out[blk.y0 : blk.y0 + blk.h, blk.x0 : blk.x0 + blk.w] = ref[
-            sy : sy + blk.h, sx : sx + blk.w
-        ]
-    return Frame(out, reference.bit_depth)
+    source = compensation_source(motion, width, height)
+    return Frame(reference.samples.ravel()[source], reference.bit_depth)
 
 
 def analyze_highpass(current: Frame, predictor: Frame) -> Frame:
@@ -255,7 +242,6 @@ def analyze_sequence(
         fse=cfg.fse,
         has_trailing=has_trailing,
         crcs=tuple(_crc(g) for g in groups),
-        axis_label=seq.axis_label,
     )
     return bands, results
 
@@ -288,7 +274,7 @@ def synthesize_sequence(bands: SequenceBands) -> Sequence:
                 f"{what}: reconstruction CRC32 {got:08x} != stored {crc:08x}"
             )
         frames.extend(group)
-    return Sequence(tuple(frames), axis_label=bands.axis_label)
+    return Sequence(tuple(frames))
 
 
 def _frame_bytes(frame: Frame) -> bytes:

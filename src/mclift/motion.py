@@ -21,13 +21,15 @@ How the search does its work:
   the minimum. The cross terms of one block row come from batched real
   FFTs of its current blocks and of their reference windows (both
   zero-padded to Ny x Nx, the smallest 2**a * 3**b >= block_size +
-  2 * range per axis, 48 x 48 at the defaults), inverse transforms of the
-  products conj(C) * R and np.rint to int64. sum(ref**2) comes from an
-  int64 integral image of the centred reference (it may wrap on huge
-  frames, but every window sum fits in int64). All integer arithmetic is
-  exact modulo 2**64, so every cost is exact while it fits in int64,
-  which b**2 * span**2 < 2**63 guarantees (b = block_size). Shifts whose
-  block leaves the reference cost int64 max.
+  2 * range per axis, 48 x 48 at the defaults; a block_size beyond a
+  frame side is clipped to that side first, so memory grows with the
+  frame, not with block_size), inverse transforms of the products
+  conj(C) * R and np.rint to int64. sum(ref**2) comes from an int64
+  integral image of the centred reference (it may wrap on huge frames,
+  but every window sum fits in int64). All integer arithmetic is exact
+  modulo 2**64, so every cost is exact while it fits in int64, which
+  b**2 * span**2 < 2**63 guarantees (b = the clipped block_size).
+  Shifts whose block leaves the reference cost int64 max.
 * Each centred sample x is split into n balanced base-2**bits digits,
   x = sum_i d_i * 2**(bits * i), every digit but the last in
   [-2**(bits - 1), 2**(bits - 1)). Then cross = sum_k X_k * 2**(bits * k),
@@ -238,15 +240,18 @@ def _search(
     cross-correlation of the centred frames split into balanced digits."""
     height, width = cur.shape
     blocks_x, blocks_y = grid_dims(width, height, bs)
-    grid_h, grid_w = blocks_y * bs, blocks_x * bs
-    win_h, win_w = bs + 2 * range_y, bs + 2 * range_x
+    # A block at least as tall (wide) as the frame is its one clipped block
+    # row (column): clipping it keeps the padding and transforms to the frame.
+    bh, bw = min(bs, height), min(bs, width)
+    grid_h, grid_w = blocks_y * bh, blocks_x * bw
+    win_h, win_w = bh + 2 * range_y, bw + 2 * range_x
     shifts_y, shifts_x = 2 * range_y + 1, 2 * range_x + 1
     order = _candidate_order(range_y, range_x)
     low = int(min(cur.min(), ref.min()))
     span = int(max(cur.max(), ref.max())) - low
     centre = low + span // 2
     fft_shape = (_fft_length(win_h), _fft_length(win_w))
-    count, bits = _digit_split((span + 1) // 2, bs, fft_shape)
+    count, bits = _digit_split((span + 1) // 2, max(bh, bw), fft_shape)
 
     # Zero past the frame edge: clipped blocks then correlate their clipped
     # extent only, and reference windows read zeros outside the frame.
@@ -263,25 +268,25 @@ def _search(
     # Views: blocks[i][by, bx] is digit i of a block, windows[j][by, bx]
     # digit j of its search window.
     blocks = [
-        d.reshape(blocks_y, bs, blocks_x, bs).swapaxes(1, 2)
+        d.reshape(blocks_y, bh, blocks_x, bw).swapaxes(1, 2)
         for d in _balanced_digits(cur_p, count, bits)
     ]
     windows = [
-        np.lib.stride_tricks.sliding_window_view(d, (win_h, win_w))[::bs, ::bs]
+        np.lib.stride_tricks.sliding_window_view(d, (win_h, win_w))[::bh, ::bw]
         for d in _balanced_digits(ref_p, count, bits)
     ]
 
     # Shift index s = d + range: padded row y0 + sy is frame row y0 + dy.
     sy = np.arange(shifts_y)
-    x0 = np.arange(blocks_x) * bs
+    x0 = np.arange(blocks_x) * bw
     lo = x0[:, None] + np.arange(shifts_x)
-    hi = lo + (np.minimum(x0 + bs, width) - x0)[:, None]
+    hi = lo + (np.minimum(x0 + bw, width) - x0)[:, None]
     invalid_x = (lo < range_x) | (hi > width + range_x)
 
     best = np.empty((blocks_y, blocks_x), dtype=np.int64)
     for by in range(blocks_y):
-        y0 = by * bs
-        h = min(bs, height - y0)
+        y0 = by * bh
+        h = min(bh, height - y0)
         crosses = [
             np.fft.irfft2(spectrum, s=fft_shape)[:, :shifts_y, :shifts_x]
             for spectrum in _weight_spectra(

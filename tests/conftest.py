@@ -1,10 +1,11 @@
 import struct
+from typing import Iterator, NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from mclift.core import Frame
+from mclift.core import Frame, grid_dims
 
 
 def make_frame(rng: np.random.Generator, width: int, height: int, bit_depth: int) -> Frame:
@@ -17,6 +18,32 @@ def make_pair(rng: np.random.Generator, width: int, height: int, bit_depth: int)
         make_frame(rng, width, height, bit_depth),
         make_frame(rng, width, height, bit_depth),
     )
+
+
+class BlockRegion(NamedTuple):
+    """One block of the compensation grid, clipped to the frame."""
+
+    index: int
+    bx: int
+    by: int
+    x0: int
+    y0: int
+    w: int
+    h: int
+
+
+def iter_blocks(width: int, height: int, block_size: int) -> Iterator[BlockRegion]:
+    """The blocks of the grid in raster order, for per-block oracles."""
+    blocks_x, blocks_y = grid_dims(width, height, block_size)
+    index = 0
+    for by in range(blocks_y):
+        y0 = by * block_size
+        h = min(block_size, height - y0)
+        for bx in range(blocks_x):
+            x0 = bx * block_size
+            w = min(block_size, width - x0)
+            yield BlockRegion(index, bx, by, x0, y0, w, h)
+            index += 1
 
 
 @pytest.fixture

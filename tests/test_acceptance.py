@@ -13,7 +13,6 @@ from mclift.core import (
     LiftConfig,
     UpdateField,
     UpdateMode,
-    iter_blocks,
 )
 from mclift.fse import _fill_one_tile, fse_reconstruct, fse_tile_iterate, plan_tiles, weight_grid
 from mclift.imc import apply_connectivity_weights, connectivity_stats, imc_scatter
@@ -29,7 +28,7 @@ from mclift.motion import block_ssd, estimate_motion
 from mclift import fixtures
 from mclift.core import MotionField, MotionVector, Sequence
 
-from conftest import make_frame, make_pair
+from conftest import iter_blocks, make_frame, make_pair
 from test_imc import random_field
 from test_motion import oracle_search
 

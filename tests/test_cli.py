@@ -66,6 +66,19 @@ def test_analyze_then_synthesize_round_trip(tmp_path):
     assert meta["frames"] == 5
 
 
+def test_axis_is_not_carried_slice_comes_back_as_time(tmp_path):
+    # The container has no axis field: the samples survive, the label not.
+    sidecar = gen(tmp_path, "translate", width=48, height=32, frames=2)
+    meta = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps({**meta, "axis": "slice"}))
+    container = tmp_path / "bands.mclf"
+    assert run("analyze", "--input", sidecar, "--output", container, "--mode", "block") == 0
+    recon = tmp_path / "recon.raw"
+    assert run("synthesize", "--input", container, "--output", recon) == 0
+    assert recon.read_bytes() == (tmp_path / "data.raw").read_bytes()
+    assert json.loads(Path(str(recon) + ".json").read_text())["axis"] == "time"
+
+
 def test_synthesize_hash_verification(tmp_path, capsys):
     sidecar = gen(tmp_path, "translate", width=64, height=48, frames=2)
     container = tmp_path / "bands.mclf"

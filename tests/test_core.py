@@ -12,8 +12,9 @@ from mclift.core import (
     UpdateField,
     floor_samples,
     grid_dims,
-    iter_blocks,
 )
+
+from conftest import iter_blocks
 
 
 @pytest.mark.parametrize(

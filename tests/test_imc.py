@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from mclift.core import Frame, LiftConfig, MotionField, MotionVector, iter_blocks
+from mclift.core import Frame, LiftConfig, MotionField, MotionVector
 from mclift.imc import apply_connectivity_weights, connectivity_stats, imc_scatter
+from mclift.lifting import mc_predict
 from mclift.motion import estimate_motion
 
-from conftest import make_frame, make_pair
+from conftest import iter_blocks, make_frame, make_pair
 
 
 def zero_field(width, height, block_size):
@@ -26,6 +27,22 @@ def random_field(rng, width, height, block_size, search_range):
     bx = -(-width // block_size)
     by = -(-height // block_size)
     return MotionField(block_size, bx, by, tuple(vectors))
+
+
+def reference_scatter(highpass, motion):
+    """Per-block oracle: each block's samples added in int64 at its target."""
+    height, width = highpass.samples.shape
+    sums = np.zeros((height, width), dtype=np.int64)
+    counts = np.zeros((height, width), dtype=np.int32)
+    hp = highpass.samples
+    for blk in iter_blocks(width, height, motion.block_size):
+        v = motion.vectors[blk.index]
+        ty, tx = blk.y0 + v.dy, blk.x0 + v.dx
+        sums[ty : ty + blk.h, tx : tx + blk.w] += hp[
+            blk.y0 : blk.y0 + blk.h, blk.x0 : blk.x0 + blk.w
+        ]
+        counts[ty : ty + blk.h, tx : tx + blk.w] += 1
+    return sums, counts
 
 
 def test_zero_motion_scatter_is_identity(rng):
@@ -65,6 +82,66 @@ def test_out_of_bounds_vector_rejected(rng):
     field = MotionField(8, 1, 1, (MotionVector(1, 0),))
     with pytest.raises(ValueError, match="outside"):
         imc_scatter(hp, field)
+
+
+@pytest.mark.parametrize(
+    "width,height,block_size",
+    [
+        (24, 16, 1),  # one-pixel blocks
+        (23, 19, 7),  # blocks divide neither side
+        (33, 25, 16),
+        (30, 9, 12),  # block taller than the frame
+        (13, 11, 20),  # block past both sides: one clipped block
+    ],
+)
+@pytest.mark.parametrize("amplitude", [255, (1 << 16) - 1])
+def test_scatter_matches_per_block_reference(width, height, block_size, amplitude):
+    rng = np.random.default_rng(width * 1000 + block_size)
+    for _ in range(5):
+        field = random_field(rng, width, height, block_size, 6)
+        # highpass values of both signs, near +-2**16 at the top amplitude
+        magnitude = rng.integers(amplitude - 7, amplitude + 1, size=(height, width))
+        hp = Frame(magnitude * rng.choice([-1, 1], size=(height, width)), 16)
+        accum, conn = imc_scatter(hp, field)
+        sums, counts = reference_scatter(hp, field)
+        assert np.array_equal(accum.values, sums.astype(np.float64))
+        assert np.array_equal(conn.counts, counts)
+        assert np.array_equal(accum.hole_mask, counts == 0)
+
+
+def test_scatter_sums_colliding_extremes_exactly():
+    # every 1-pixel block of a 5x5 frame lands on pixel (2,2): 25 values of
+    # magnitude ~2**16 of both signs are summed there, and nowhere else
+    rng = np.random.default_rng(3)
+    magnitude = rng.integers((1 << 16) - 4, 1 << 16, size=(5, 5))
+    hp = Frame(magnitude * rng.choice([-1, 1], size=(5, 5)), 16)
+    vectors = tuple(MotionVector(2 - x, 2 - y) for y in range(5) for x in range(5))
+    field = MotionField(1, 5, 5, vectors)
+    accum, conn = imc_scatter(hp, field)
+    sums, counts = reference_scatter(hp, field)
+    assert conn.counts[2, 2] == 25 and int(conn.counts.sum()) == 25
+    assert accum.values[2, 2] == float(hp.samples.astype(np.int64).sum())
+    assert np.array_equal(accum.values, sums.astype(np.float64))
+    assert np.array_equal(conn.counts, counts)
+
+
+@pytest.mark.parametrize("apply", [mc_predict, imc_scatter])
+def test_first_block_outside_in_raster_order_is_named(rng, apply):
+    # blocks (1,0) and (0,1) both leave the 16x16 frame; (1,0) comes first
+    frame = make_frame(rng, 16, 16, 8)
+    vectors = ((0, 0), (1, 0), (0, 1), (0, 0))
+    field = MotionField(8, 2, 2, vectors)
+    message = r"^block \(1,0\) vector .* lands outside the frame$"
+    with pytest.raises(ValueError, match=message):
+        apply(frame, field)
+
+
+@pytest.mark.parametrize("vector", [(-1, 0), (1, 0), (0, -1), (0, 1)])
+@pytest.mark.parametrize("apply", [mc_predict, imc_scatter])
+def test_block_leaving_any_side_is_rejected(rng, apply, vector):
+    frame = make_frame(rng, 8, 8, 8)
+    with pytest.raises(ValueError, match=r"^block \(0,0\) vector"):
+        apply(frame, MotionField(8, 1, 1, (vector,)))
 
 
 def test_weights_one_connected_halves():

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,14 @@ from mclift.lifting import (
 )
 from mclift.metrics import boundary_step_metric, encode_lossless, psnr
 
-from conftest import corrupt, hostile_edits, make_frame, make_pair, overwrite
+from conftest import (
+    corrupt,
+    hostile_edits,
+    iter_blocks,
+    make_frame,
+    make_pair,
+    overwrite,
+)
 
 FAST_FSE = FseParams(tile_size=8, border=8, max_iterations=40)
 
@@ -91,7 +99,6 @@ def test_mc_predict_adjacent_blocks_show_seam():
 
 def test_mc_predict_matches_gather_oracle():
     # every output pixel equals the reference at p + v(block of p), once each
-    from mclift.core import iter_blocks
     from test_imc import random_field
 
     for seed in range(5):
@@ -256,8 +263,32 @@ def test_sequence_round_trip(length, mode):
     bands, _ = analyze_sequence(seq, cfg)
     back = synthesize_sequence(bands)
     assert len(back) == length
-    assert back.axis_label == "slice"
     assert all(a == b for a, b in zip(back, seq))
+
+
+def test_block_size_past_the_frame_round_trips_in_frame_memory():
+    # A block size far past an 8x8 frame is one clipped block: analysis and
+    # synthesis must allocate for the frame, not for a 65535^2 block.
+    rng = np.random.default_rng(8)
+    seq = Sequence(tuple(make_frame(rng, 8, 8, 8) for _ in range(2)))
+    cfg = LiftConfig(block_size=65535, search_range=3)
+    # warm-up at a small block size, so lazy imports are not traced
+    small = dataclasses.replace(cfg, block_size=8)
+    synthesize_sequence(analyze_sequence(seq, small)[0])
+    tracemalloc.start()
+    try:
+        data = container_to_bytes(analyze_sequence(seq, cfg)[0])
+        _, analyze_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        back = synthesize_sequence(container_from_bytes(data))
+        _, synthesize_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert container_from_bytes(data).motion_fields[0].block_size == 65535
+    assert container_to_bytes(container_from_bytes(data)) == data
+    assert len(back) == 2 and all(a == b for a, b in zip(back, seq))
+    assert analyze_peak < 1 << 20
+    assert synthesize_peak < 1 << 20
 
 
 def test_container_round_trip(rng, tmp_path):

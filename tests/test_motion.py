@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,6 +157,10 @@ def test_oracle_subband_range_samples(rng):
         (9, 7, 1, 2),  # one-pixel blocks
         (21, 17, 8, 0),  # only the zero vector
         (13, 11, 4, 17),  # window beyond both frame dimensions
+        (30, 9, 12, 4),  # block taller than the frame
+        (9, 30, 12, 4),  # block wider than the frame
+        (13, 11, 20, 3),  # block past both sides: one clipped block
+        (13, 11, 1024, 17),
     ],
 )
 def test_oracle_geometries(rng, width, height, block_size, search_range):
@@ -171,6 +177,21 @@ def test_oracle_block_size_one_reaches_opposite_corner(rng):
     field, costs = assert_matches_oracle(Frame(cur_samples, 8), ref, 1, 6)
     assert field.vector_at(0, 0) == MotionVector(4, 3)
     assert costs[0] == 0
+
+
+def test_block_size_past_the_frame_searches_in_frame_memory(rng):
+    # Block sizes 32 and 1024 both give the one clipped block of a 32x32
+    # pair; the search must allocate for the frame, not for the block.
+    cur, ref = make_pair(rng, 32, 32, 8)
+    small = estimate_motion(cur, ref, LiftConfig(32, 15))
+    tracemalloc.start()
+    try:
+        field = estimate_motion(cur, ref, LiftConfig(1024, 15))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert field.vectors == small.vectors
+    assert peak < 2 << 20
 
 
 def test_cost_non_increasing_with_range(rng):

@@ -166,26 +166,35 @@ def grid_dims(width: int, height: int, block_size: int) -> tuple[int, int]:
 
 @dataclass(frozen=True, eq=False)
 class MotionField:
-    """Per-block integer displacements into the reference frame."""
+    """Per-block integer displacements into the reference frame.
+
+    ``vectors`` is (blocks_y, blocks_x, 2), int64: the (dx, dy) of every
+    block, the blocks in raster order.
+    """
 
     block_size: int
-    blocks_x: int
-    blocks_y: int
-    vectors: tuple[MotionVector, ...]
+    vectors: np.ndarray
 
     def __post_init__(self) -> None:
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
-        vectors = tuple(MotionVector(int(v[0]), int(v[1])) for v in self.vectors)
-        if len(vectors) != self.blocks_x * self.blocks_y:
-            raise ValueError(
-                f"expected {self.blocks_x * self.blocks_y} vectors, "
-                f"got {len(vectors)}"
-            )
-        object.__setattr__(self, "vectors", vectors)
+        raw = np.asarray(self.vectors)
+        if not np.issubdtype(raw.dtype, np.integer):
+            raise TypeError(f"motion vectors must be integers, got dtype {raw.dtype}")
+        if raw.ndim != 3 or raw.shape[2] != 2:
+            raise ValueError(f"motion vector shape {raw.shape} is not (by, bx, 2)")
+        object.__setattr__(self, "vectors", _freeze(raw.astype(np.int64)))
+
+    @property
+    def blocks_x(self) -> int:
+        return self.vectors.shape[1]
+
+    @property
+    def blocks_y(self) -> int:
+        return self.vectors.shape[0]
 
     def vector_at(self, bx: int, by: int) -> MotionVector:
-        return self.vectors[by * self.blocks_x + bx]
+        return MotionVector(*self.vectors[by, bx].tolist())
 
     def matches_frame(self, width: int, height: int) -> bool:
         return (self.blocks_x, self.blocks_y) == grid_dims(
@@ -195,11 +204,8 @@ class MotionField:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MotionField):
             return NotImplemented
-        return (
-            self.block_size == other.block_size
-            and self.blocks_x == other.blocks_x
-            and self.blocks_y == other.blocks_y
-            and self.vectors == other.vectors
+        return self.block_size == other.block_size and np.array_equal(
+            self.vectors, other.vectors
         )
 
 
@@ -217,9 +223,7 @@ def compensation_source(motion: MotionField, width: int, height: int) -> np.ndar
     if not motion.matches_frame(width, height):
         raise ValueError("motion field geometry does not match frame")
     bs = motion.block_size
-    dx, dy = np.array(motion.vectors, dtype=np.int64).reshape(
-        motion.blocks_y, motion.blocks_x, 2
-    ).transpose(2, 0, 1)
+    dx, dy = motion.vectors.transpose(2, 0, 1)
     x0 = np.arange(motion.blocks_x) * bs
     y0 = np.arange(motion.blocks_y)[:, None] * bs
     w = np.minimum(bs, width - x0)
@@ -372,7 +376,8 @@ class LiftConfig:
     fse: FseParams = field(default_factory=FseParams)
 
     def __post_init__(self) -> None:
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
+        # The container stores block_size as u16.
+        if not 1 <= self.block_size <= 0xFFFF:
+            raise ValueError(f"block_size must be in [1, 65535], got {self.block_size}")
         if self.search_range < 0:
             raise ValueError("search_range must be >= 0")

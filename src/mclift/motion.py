@@ -314,23 +314,17 @@ def estimate_motion(current: Frame, reference: Frame, cfg: LiftConfig) -> Motion
     if not current.same_geometry(reference):
         raise ValueError("current and reference frames must share geometry")
     height, width = current.samples.shape
-    bs = cfg.block_size
-    blocks_x, blocks_y = grid_dims(width, height, bs)
     # No block stays inside the frame under a shift of a full frame extent.
     range_x = min(cfg.search_range, width - 1)
     range_y = min(cfg.search_range, height - 1)
-    best = _search(current.samples, reference.samples, bs, range_y, range_x)
-
-    sy, sx = np.divmod(best.ravel(), 2 * range_x + 1)
-    vectors = tuple(
-        MotionVector(dx, dy)
-        for dx, dy in zip((sx - range_x).tolist(), (sy - range_y).tolist())
-    )
-    return MotionField(bs, blocks_x, blocks_y, vectors)
+    best = _search(current.samples, reference.samples, cfg.block_size, range_y, range_x)
+    sy, sx = np.divmod(best, 2 * range_x + 1)
+    return MotionField(cfg.block_size, np.stack((sx - range_x, sy - range_y), axis=-1))
 
 
 def motion_to_bytes(field: MotionField) -> bytes:
-    """Little-endian wire format: block_size/blocks_x/blocks_y u16, then dx/dy i16."""
+    """Little-endian wire format: block_size/blocks_x/blocks_y u16, then the
+    dx/dy i16 of every block in raster order."""
     for name, value in (
         ("block_size", field.block_size),
         ("blocks_x", field.blocks_x),
@@ -338,12 +332,14 @@ def motion_to_bytes(field: MotionField) -> bytes:
     ):
         if not 0 <= value <= 0xFFFF:
             raise ValueError(f"{name} {value} does not fit u16")
-    parts = [_HEADER.pack(field.block_size, field.blocks_x, field.blocks_y)]
-    for v in field.vectors:
-        if not (-32768 <= v.dx <= 32767 and -32768 <= v.dy <= 32767):
-            raise ValueError(f"vector {v} does not fit i16")
-        parts.append(_VECTOR.pack(v.dx, v.dy))
-    return b"".join(parts)
+    # Checked before the cast, which wraps silently.
+    outside = ((field.vectors < -32768) | (field.vectors > 32767)).any(axis=2)
+    if outside.any():
+        by, bx = np.argwhere(outside)[0].tolist()
+        v = field.vector_at(bx, by)
+        raise ValueError(f"block ({bx},{by}) vector {v} does not fit i16")
+    header = _HEADER.pack(field.block_size, field.blocks_x, field.blocks_y)
+    return header + field.vectors.astype("<i2").tobytes()
 
 
 def motion_from_bytes(data: bytes, offset: int = 0) -> tuple[MotionField, int]:
@@ -364,8 +360,4 @@ def motion_from_bytes(data: bytes, offset: int = 0) -> tuple[MotionField, int]:
             f"(need {need} bytes for {count} vectors)"
         )
     raw = np.frombuffer(data, dtype="<i2", count=2 * count, offset=offset)
-    offset += need
-    vectors = tuple(
-        MotionVector(int(raw[2 * i]), int(raw[2 * i + 1])) for i in range(count)
-    )
-    return MotionField(block_size, blocks_x, blocks_y, vectors), offset
+    return MotionField(block_size, raw.reshape(blocks_y, blocks_x, 2)), offset + need

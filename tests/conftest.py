@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from mclift.core import Frame, grid_dims
+from mclift.core import Frame, MotionField, grid_dims
 
 
 def make_frame(rng: np.random.Generator, width: int, height: int, bit_depth: int) -> Frame:
@@ -18,6 +18,12 @@ def make_pair(rng: np.random.Generator, width: int, height: int, bit_depth: int)
         make_frame(rng, width, height, bit_depth),
         make_frame(rng, width, height, bit_depth),
     )
+
+
+def motion_field(block_size: int, blocks_x: int, blocks_y: int, vectors) -> MotionField:
+    """A motion field from its (dx, dy) pairs listed in raster order."""
+    grid = np.array(vectors, dtype=np.int64).reshape(blocks_y, blocks_x, 2)
+    return MotionField(block_size, grid)
 
 
 class BlockRegion(NamedTuple):

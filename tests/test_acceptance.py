@@ -26,9 +26,9 @@ from mclift.metrics import (
 )
 from mclift.motion import block_ssd, estimate_motion
 from mclift import fixtures
-from mclift.core import MotionField, MotionVector, Sequence
+from mclift.core import Sequence, grid_dims
 
-from conftest import iter_blocks, make_frame, make_pair
+from conftest import iter_blocks, make_frame, make_pair, motion_field
 from test_imc import random_field
 from test_motion import oracle_search
 
@@ -88,10 +88,12 @@ def test_criterion_2_motion_search_oracle_equivalence():
         expected_vectors, expected_costs = oracle_search(
             cur, ref, block_size, search_range
         )
-        assert list(field.vectors) == expected_vectors, f"instance {i}"
+        grid = grid_dims(width, height, block_size)
+        expected = motion_field(block_size, *grid, expected_vectors)
+        assert field == expected, f"instance {i}"
         for blk in iter_blocks(width, height, block_size):
             got = block_ssd(
-                cur, ref, (blk.x0, blk.y0), (blk.w, blk.h), field.vectors[blk.index]
+                cur, ref, (blk.x0, blk.y0), (blk.w, blk.h), field.vector_at(blk.bx, blk.by)
             )
             assert got == expected_costs[blk.index], f"instance {i} block {blk.index}"
     print("PASS criterion 2: optimized search matches the brute-force oracle on 100 instances")
@@ -137,7 +139,7 @@ def test_criterion_4_connectivity_conservation():
         assert int(conn.counts.sum()) == clipped_area, f"instance {i}"
         covered = np.zeros((height, width), dtype=bool)
         for blk in iter_blocks(width, height, block_size):
-            v = field.vectors[blk.index]
+            v = field.vector_at(blk.bx, blk.by)
             covered[
                 blk.y0 + v.dy : blk.y0 + v.dy + blk.h,
                 blk.x0 + v.dx : blk.x0 + v.dx + blk.w,
@@ -151,12 +153,12 @@ def test_criterion_5_connectivity_weighting_exact():
     """Constructed k=1 and k=2 overlaps weight to sum/2 and sum/3."""
     one = Frame(np.array([[10]], dtype=np.int32), 8)
     w1 = apply_connectivity_weights(
-        *imc_scatter(one, MotionField(1, 1, 1, (MotionVector(0, 0),)))
+        *imc_scatter(one, motion_field(1, 1, 1, [(0, 0)]))
     )
     assert abs(w1.values[0, 0] - 5.0) <= 1e-12
 
     two = Frame(np.array([[4, 6]], dtype=np.int32), 8)
-    field = MotionField(1, 2, 1, (MotionVector(0, 0), MotionVector(-1, 0)))
+    field = motion_field(1, 2, 1, [(0, 0), (-1, 0)])
     w2 = apply_connectivity_weights(*imc_scatter(two, field))
     assert abs(w2.values[0, 0] - 10.0 / 3.0) <= 1e-12
     assert w2.values[0, 1] == 0.0 and bool(w2.hole_mask[0, 1])

@@ -7,7 +7,7 @@ import pytest
 
 from mclift.cli import COMPARE_COLUMNS, METRICS_COLUMNS, main
 from mclift.io import SIDECAR_KEYS, read_dataset
-from mclift.lifting import read_container
+from mclift.lifting import _CONTAINER_HEADER, read_container
 
 FAST_FSE = ["--fse-tile", "8", "--fse-border", "8", "--fse-iters", "60"]
 
@@ -144,6 +144,31 @@ def test_dimension_past_u16_is_data_error(tmp_path, capsys, command, width, heig
     assert run(command, "--input", sidecar, "--output", out) == 2
     assert "65535" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare"])
+def test_block_size_past_u16_is_usage_error(tmp_path, capsys, command):
+    # The container stores block_size as a u16; this used to run the whole
+    # transform and then fail as a data error when the container was written.
+    sidecar = gen(tmp_path, "translate", width=48, height=32, frames=2)
+    out = tmp_path / "out"
+    assert run(command, "--input", sidecar, "--output", out, "--block-size", 70000) == 1
+    assert "65535" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synthesize_vector_outside_the_frame_is_data_error(tmp_path, capsys):
+    # A well-formed container whose first vector of pair 0 points far left.
+    sidecar = gen(tmp_path, "translate", width=48, height=32, frames=2)
+    container = tmp_path / "c.mclf"
+    assert run("analyze", "--input", sidecar, "--output", container, "--mode", "block") == 0
+    payload = bytearray(container.read_bytes())
+    struct.pack_into("<hh", payload, _CONTAINER_HEADER.size + 6, -32768, 0)
+    container.write_bytes(bytes(payload))
+    recon = tmp_path / "r.raw"
+    assert run("synthesize", "--input", container, "--output", recon) == 2
+    assert "block (0,0) vector" in capsys.readouterr().err
+    assert not recon.exists()
 
 
 def test_synthesize_corrupt_container_is_data_error(tmp_path):

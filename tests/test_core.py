@@ -7,7 +7,6 @@ from mclift.core import (
     FseParams,
     LiftConfig,
     MotionField,
-    MotionVector,
     Sequence,
     UpdateField,
     floor_samples,
@@ -78,9 +77,20 @@ def test_sequence_validation():
     assert len(seq) == 2 and seq.axis_label == "slice"
 
 
-def test_motion_field_count_check():
-    with pytest.raises(ValueError):
-        MotionField(8, 2, 2, (MotionVector(0, 0),))
+def test_motion_field_rejects_float_or_misshapen_vectors():
+    with pytest.raises(TypeError):
+        MotionField(8, np.zeros((2, 2, 2)))
+    for shape in [(2, 2), (2, 2, 3), (1, 2, 2, 2)]:
+        with pytest.raises(ValueError, match="shape"):
+            MotionField(8, np.zeros(shape, dtype=np.int64))
+
+
+def test_motion_field_vectors_are_frozen():
+    field = MotionField(8, np.zeros((2, 3, 2), dtype=np.int16))
+    assert field.vectors.dtype == np.int64
+    assert (field.blocks_x, field.blocks_y) == (3, 2)
+    with pytest.raises(ValueError, match="read-only"):
+        field.vectors[0, 0, 0] = 1
 
 
 def test_update_field_shape_check():
@@ -154,6 +164,9 @@ def test_lift_config_validation():
         LiftConfig(block_size=0)
     with pytest.raises(ValueError):
         LiftConfig(search_range=-1)
+    with pytest.raises(ValueError, match="65535"):
+        LiftConfig(block_size=65536)
+    assert LiftConfig(block_size=65535).block_size == 65535
     cfg = LiftConfig()
     assert cfg.block_size == 16 and cfg.search_range == 15
     assert cfg.fse.max_iterations == 100

@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
-from mclift.core import Frame, LiftConfig, MotionField, MotionVector
+from mclift.core import Frame, LiftConfig, MotionField
 from mclift.imc import apply_connectivity_weights, connectivity_stats, imc_scatter
 from mclift.lifting import mc_predict
 from mclift.motion import estimate_motion
 
-from conftest import iter_blocks, make_frame, make_pair
+from conftest import iter_blocks, make_frame, make_pair, motion_field
 
 
 def zero_field(width, height, block_size):
     bx = -(-width // block_size)
     by = -(-height // block_size)
-    return MotionField(block_size, bx, by, tuple(MotionVector(0, 0) for _ in range(bx * by)))
+    return MotionField(block_size, np.zeros((by, bx, 2), dtype=np.int64))
 
 
 def random_field(rng, width, height, block_size, search_range):
@@ -21,12 +21,10 @@ def random_field(rng, width, height, block_size, search_range):
     for blk in iter_blocks(width, height, block_size):
         lo_dx, hi_dx = -min(search_range, blk.x0), min(search_range, width - blk.x0 - blk.w)
         lo_dy, hi_dy = -min(search_range, blk.y0), min(search_range, height - blk.y0 - blk.h)
-        vectors.append(
-            MotionVector(int(rng.integers(lo_dx, hi_dx + 1)), int(rng.integers(lo_dy, hi_dy + 1)))
-        )
+        vectors.append((rng.integers(lo_dx, hi_dx + 1), rng.integers(lo_dy, hi_dy + 1)))
     bx = -(-width // block_size)
     by = -(-height // block_size)
-    return MotionField(block_size, bx, by, tuple(vectors))
+    return motion_field(block_size, bx, by, vectors)
 
 
 def reference_scatter(highpass, motion):
@@ -36,7 +34,7 @@ def reference_scatter(highpass, motion):
     counts = np.zeros((height, width), dtype=np.int32)
     hp = highpass.samples
     for blk in iter_blocks(width, height, motion.block_size):
-        v = motion.vectors[blk.index]
+        v = motion.vector_at(blk.bx, blk.by)
         ty, tx = blk.y0 + v.dy, blk.x0 + v.dx
         sums[ty : ty + blk.h, tx : tx + blk.w] += hp[
             blk.y0 : blk.y0 + blk.h, blk.x0 : blk.x0 + blk.w
@@ -55,7 +53,7 @@ def test_zero_motion_scatter_is_identity(rng):
 
 def test_two_blocks_colliding_on_one_pixel():
     hp = Frame(np.array([[4, 6]], dtype=np.int32), 8)
-    field = MotionField(1, 2, 1, (MotionVector(0, 0), MotionVector(-1, 0)))
+    field = motion_field(1, 2, 1, [(0, 0), (-1, 0)])
     accum, conn = imc_scatter(hp, field)
     assert conn.counts.tolist() == [[2, 0]]
     assert accum.values.tolist() == [[10.0, 0.0]]
@@ -65,7 +63,7 @@ def test_two_blocks_colliding_on_one_pixel():
 
 def test_uniform_shift_vacates_a_column(rng):
     hp = make_frame(rng, 16, 8, 8)
-    field = MotionField(8, 2, 1, (MotionVector(1, 0), MotionVector(0, 0)))
+    field = motion_field(8, 2, 1, [(1, 0), (0, 0)])
     accum, conn = imc_scatter(hp, field)
     # the first block moved right by one: column 0 is vacated, column 8 is
     # hit by both that block and the untouched second block
@@ -79,7 +77,7 @@ def test_uniform_shift_vacates_a_column(rng):
 
 def test_out_of_bounds_vector_rejected(rng):
     hp = make_frame(rng, 8, 8, 8)
-    field = MotionField(8, 1, 1, (MotionVector(1, 0),))
+    field = motion_field(8, 1, 1, [(1, 0)])
     with pytest.raises(ValueError, match="outside"):
         imc_scatter(hp, field)
 
@@ -115,8 +113,8 @@ def test_scatter_sums_colliding_extremes_exactly():
     rng = np.random.default_rng(3)
     magnitude = rng.integers((1 << 16) - 4, 1 << 16, size=(5, 5))
     hp = Frame(magnitude * rng.choice([-1, 1], size=(5, 5)), 16)
-    vectors = tuple(MotionVector(2 - x, 2 - y) for y in range(5) for x in range(5))
-    field = MotionField(1, 5, 5, vectors)
+    vectors = [(2 - x, 2 - y) for y in range(5) for x in range(5)]
+    field = motion_field(1, 5, 5, vectors)
     accum, conn = imc_scatter(hp, field)
     sums, counts = reference_scatter(hp, field)
     assert conn.counts[2, 2] == 25 and int(conn.counts.sum()) == 25
@@ -130,7 +128,7 @@ def test_first_block_outside_in_raster_order_is_named(rng, apply):
     # blocks (1,0) and (0,1) both leave the 16x16 frame; (1,0) comes first
     frame = make_frame(rng, 16, 16, 8)
     vectors = ((0, 0), (1, 0), (0, 1), (0, 0))
-    field = MotionField(8, 2, 2, vectors)
+    field = motion_field(8, 2, 2, vectors)
     message = r"^block \(1,0\) vector .* lands outside the frame$"
     with pytest.raises(ValueError, match=message):
         apply(frame, field)
@@ -141,7 +139,7 @@ def test_first_block_outside_in_raster_order_is_named(rng, apply):
 def test_block_leaving_any_side_is_rejected(rng, apply, vector):
     frame = make_frame(rng, 8, 8, 8)
     with pytest.raises(ValueError, match=r"^block \(0,0\) vector"):
-        apply(frame, MotionField(8, 1, 1, (vector,)))
+        apply(frame, motion_field(8, 1, 1, [vector]))
 
 
 def test_weights_one_connected_halves():
@@ -153,7 +151,7 @@ def test_weights_one_connected_halves():
 
 def test_weights_two_connected_thirds():
     hp = Frame(np.array([[4, 6]], dtype=np.int32), 8)
-    field = MotionField(1, 2, 1, (MotionVector(0, 0), MotionVector(-1, 0)))
+    field = motion_field(1, 2, 1, [(0, 0), (-1, 0)])
     weighted = apply_connectivity_weights(*imc_scatter(hp, field))
     assert weighted.values[0, 0] == pytest.approx(10.0 / 3.0, abs=1e-12)
     assert weighted.values[0, 1] == 0.0
@@ -188,7 +186,7 @@ def test_mass_conservation_and_hole_oracle(seed):
 
     covered = np.zeros((height, width), dtype=bool)
     for blk in iter_blocks(width, height, block_size):
-        v = field.vectors[blk.index]
+        v = field.vector_at(blk.bx, blk.by)
         covered[blk.y0 + v.dy : blk.y0 + v.dy + blk.h, blk.x0 + v.dx : blk.x0 + v.dx + blk.w] = True
     assert np.array_equal(accum.hole_mask, ~covered)
     assert np.array_equal(conn.counts == 0, ~covered)

@@ -14,7 +14,6 @@ from mclift.core import (
     FseParams,
     LiftConfig,
     MotionField,
-    MotionVector,
     Sequence,
     UpdateField,
     UpdateMode,
@@ -43,6 +42,7 @@ from conftest import (
     iter_blocks,
     make_frame,
     make_pair,
+    motion_field,
     overwrite,
 )
 
@@ -55,7 +55,7 @@ def fast_cfg(mode=UpdateMode.FSE_FILL, block_size=16, search_range=4):
 
 def zero_field(width, height, block_size):
     bx, by = -(-width // block_size), -(-height // block_size)
-    return MotionField(block_size, bx, by, tuple(MotionVector(0, 0) for _ in range(bx * by)))
+    return MotionField(block_size, np.zeros((by, bx, 2), dtype=np.int64))
 
 
 def test_mc_predict_zero_motion_is_identity(rng):
@@ -71,12 +71,12 @@ def test_mc_predict_uniform_translation(rng):
     for j in range(by):
         for i in range(bx):
             ok = i * 8 + 8 + 5 <= 48 and j * 8 + 8 + 2 <= 40
-            vectors.append(MotionVector(5, 2) if ok else MotionVector(0, 0))
-    field = MotionField(8, bx, by, tuple(vectors))
+            vectors.append((5, 2) if ok else (0, 0))
+    field = motion_field(8, bx, by, vectors)
     pred = mc_predict(ref, field)
     for j in range(by):
         for i in range(bx):
-            if vectors[j * bx + i] == MotionVector(5, 2):
+            if vectors[j * bx + i] == (5, 2):
                 assert np.array_equal(
                     pred.samples[j * 8 : j * 8 + 8, i * 8 : i * 8 + 8],
                     tex[j * 8 + 2 : j * 8 + 10, i * 8 + 5 : i * 8 + 13],
@@ -86,9 +86,7 @@ def test_mc_predict_uniform_translation(rng):
 def test_mc_predict_adjacent_blocks_show_seam():
     base = (np.arange(17, dtype=np.int32) * 3)[None, :].repeat(4, axis=0)
     ref = Frame(base, 8)
-    field = MotionField(
-        8, 3, 1, (MotionVector(0, 0), MotionVector(1, 0), MotionVector(0, 0))
-    )
+    field = motion_field(8, 3, 1, [(0, 0), (1, 0), (0, 0)])
     pred = mc_predict(ref, field).samples
     assert np.array_equal(pred[:, :8], base[:, :8])
     assert np.array_equal(pred[:, 8:16], base[:, 9:17])
@@ -109,7 +107,7 @@ def test_mc_predict_matches_gather_oracle():
         pred = mc_predict(ref, field)
         out = np.empty((h, w), dtype=np.int32)
         for blk in iter_blocks(w, h, bs):
-            v = field.vectors[blk.index]
+            v = field.vector_at(blk.bx, blk.by)
             for y in range(blk.y0, blk.y0 + blk.h):
                 for x in range(blk.x0, blk.x0 + blk.w):
                     out[y, x] = ref.samples[y + v.dy, x + v.dx]
@@ -118,7 +116,7 @@ def test_mc_predict_matches_gather_oracle():
 
 def test_mc_predict_rejects_out_of_bounds(rng):
     ref = make_frame(rng, 16, 16, 8)
-    field = MotionField(16, 1, 1, (MotionVector(-1, 0),))
+    field = motion_field(16, 1, 1, [(-1, 0)])
     with pytest.raises(ValueError):
         mc_predict(ref, field)
 
@@ -156,7 +154,7 @@ def test_analyze_pair_identical_frames(rng):
     f = make_frame(rng, 48, 32, 8)
     bands = analyze_pair(f, f, fast_cfg()).subbands
     assert np.all(bands.highpass.samples == 0)
-    assert all(v == MotionVector(0, 0) for v in bands.motion.vectors)
+    assert not bands.motion.vectors.any()
     assert bands.lowpass == f
 
 

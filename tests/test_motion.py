@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mclift import motion
-from mclift.core import DataFormatError, Frame, LiftConfig, MotionVector
+from mclift.core import DataFormatError, Frame, LiftConfig, MotionField, MotionVector, grid_dims
 from mclift.motion import (
     block_ssd,
     estimate_motion,
@@ -13,7 +14,7 @@ from mclift.motion import (
     motion_to_bytes,
 )
 
-from conftest import make_frame, make_pair
+from conftest import iter_blocks, make_frame, make_pair, motion_field
 
 
 def oracle_search(current: Frame, reference: Frame, block_size: int, search_range: int):
@@ -69,13 +70,13 @@ def test_block_ssd_out_of_bounds():
 def test_identical_frames_give_zero_vectors(rng):
     f = make_frame(rng, 32, 24, 8)
     field = estimate_motion(f, f, LiftConfig(8, 4))
-    assert all(v == MotionVector(0, 0) for v in field.vectors)
+    assert not field.vectors.any()
 
 
 def test_flat_frames_tiebreak_to_zero(rng):
     f = Frame(np.full((32, 32), 77, dtype=np.int32), 8)
     field = estimate_motion(f, f, LiftConfig(16, 6))
-    assert all(v == MotionVector(0, 0) for v in field.vectors)
+    assert not field.vectors.any()
 
 
 def test_translated_pair_recovers_shift(rng):
@@ -103,13 +104,11 @@ def test_dimension_mismatch_rejected(rng):
 def assert_matches_oracle(cur: Frame, ref: Frame, block_size: int, search_range: int):
     field = estimate_motion(cur, ref, LiftConfig(block_size, search_range))
     expected, costs = oracle_search(cur, ref, block_size, search_range)
-    assert list(field.vectors) == expected
-    for blk_index, v in enumerate(field.vectors):
-        by, bx = divmod(blk_index, field.blocks_x)
-        x0, y0 = bx * block_size, by * block_size
-        w = min(block_size, cur.width - x0)
-        h = min(block_size, cur.height - y0)
-        assert block_ssd(cur, ref, (x0, y0), (w, h), v) == costs[blk_index]
+    grid = grid_dims(cur.width, cur.height, block_size)
+    assert field == motion_field(block_size, *grid, expected)
+    for blk in iter_blocks(cur.width, cur.height, block_size):
+        v = field.vector_at(blk.bx, blk.by)
+        assert block_ssd(cur, ref, (blk.x0, blk.y0), (blk.w, blk.h), v) == costs[blk.index]
     return field, costs
 
 
@@ -190,7 +189,7 @@ def test_block_size_past_the_frame_searches_in_frame_memory(rng):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert field.vectors == small.vectors
+    assert np.array_equal(field.vectors, small.vectors)
     assert peak < 2 << 20
 
 
@@ -200,9 +199,9 @@ def test_cost_non_increasing_with_range(rng):
     for search_range in (0, 1, 2, 4, 6):
         field = estimate_motion(cur, ref, LiftConfig(8, search_range))
         total = 0
-        for blk_index, v in enumerate(field.vectors):
-            by, bx = divmod(blk_index, field.blocks_x)
-            total += block_ssd(cur, ref, (bx * 8, by * 8), (8, 8), v)
+        for blk in iter_blocks(40, 40, 8):
+            v = field.vector_at(blk.bx, blk.by)
+            total += block_ssd(cur, ref, (blk.x0, blk.y0), (8, 8), v)
         if previous is not None:
             assert total <= previous
         previous = total
@@ -215,6 +214,31 @@ def test_motion_serialization_round_trip(rng):
     parsed, consumed = motion_from_bytes(payload)
     assert consumed == len(payload)
     assert parsed == field
+
+
+@pytest.mark.parametrize("blocks_y,blocks_x", [(1, 1), (2, 3), (3, 1)])
+def test_i16_extremes_round_trip_in_raster_order(blocks_y, blocks_x):
+    vectors = np.resize([-32768, 32767, 32767, -32768], (blocks_y, blocks_x, 2))
+    field = MotionField(5, vectors)
+    payload = motion_to_bytes(field)
+    pairs = vectors.reshape(-1, 2).tolist()
+    assert payload == struct.pack("<HHH", 5, blocks_x, blocks_y) + b"".join(
+        struct.pack("<hh", dx, dy) for dx, dy in pairs
+    )
+    parsed, consumed = motion_from_bytes(payload)
+    assert consumed == len(payload)
+    assert parsed == field
+
+
+@pytest.mark.parametrize("vector", [(32768, 0), (0, -32769)])
+def test_vector_past_i16_names_the_first_block_in_raster_order(vector):
+    # Blocks (2,0) and (0,1) both overflow; (2,0) comes first in raster order.
+    vectors = np.zeros((2, 3, 2), dtype=np.int64)
+    vectors[0, 2] = vector
+    vectors[1, 0] = vector
+    message = r"^block \(2,0\) vector .* does not fit i16$"
+    with pytest.raises(ValueError, match=message):
+        motion_to_bytes(MotionField(4, vectors))
 
 
 def test_motion_deserialization_truncation():

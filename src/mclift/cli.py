@@ -92,11 +92,16 @@ def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
     mode = MODE_CLI_NAMES[cfg.update_mode]
     p.add_argument("--mode", choices=sorted(MODE_FROM_CLI), default=mode,
                    help=f"update mode (default: {mode})")
-    p.add_argument("--block-size", type=int, default=cfg.block_size)
-    p.add_argument("--search-range", type=int, default=cfg.search_range)
-    p.add_argument("--fse-iters", type=int, default=cfg.fse.max_iterations)
-    p.add_argument("--fse-tile", type=int, default=cfg.fse.tile_size)
-    p.add_argument("--fse-border", type=int, default=cfg.fse.border)
+    p.add_argument("--block-size", type=int, default=cfg.block_size,
+                   help="motion block edge in pixels (default: %(default)s)")
+    p.add_argument("--search-range", type=int, default=cfg.search_range,
+                   help="motion search range in pixels (default: %(default)s)")
+    p.add_argument("--fse-iters", type=int, default=cfg.fse.max_iterations,
+                   help="FSE iterations per tile (default: %(default)s)")
+    p.add_argument("--fse-tile", type=int, default=cfg.fse.tile_size,
+                   help="FSE hole-owning tile edge (default: %(default)s)")
+    p.add_argument("--fse-border", type=int, default=cfg.fse.border,
+                   help="FSE support margin around each tile (default: %(default)s)")
 
 
 def _config_from_args(args) -> LiftConfig:

@@ -305,10 +305,10 @@ FSE_MAX_FFT_SIZE = 256
 FSE_MAX_ITERATIONS = 10_000
 # Upper bound on fft_size^2 * max_iterations / tile_size^2, the transform
 # work per hole pixel. 16000 is its value at tile 16, border 16 and 1000
-# iterations, the default budget of earlier releases, so their containers
-# still decode (today's default of 100 iterations gives 1600). Tile 1,
-# border 127 and 10000 iterations would ask for ~41000x more, ~1.75 s of
-# decoding per hole pixel.
+# iterations, the default geometry and budget of earlier releases, so their
+# containers still decode (today's defaults, tile 40, border 12 and 100
+# iterations, give 256). Tile 1, border 127 and 10000 iterations would ask
+# for ~41000x more, ~1.75 s of decoding per hole pixel.
 FSE_MAX_WORK_PER_PIXEL = 16_000
 
 
@@ -319,14 +319,16 @@ class FseParams:
     tile_size is the edge of a hole-owning processing block, border the
     support margin included on each side. The transform edge fft_size is
     the smallest power of two that holds tile_size + 2*border, at most
-    FSE_MAX_FFT_SIZE. decay_rho controls the spatial weighting falloff from
+    FSE_MAX_FFT_SIZE. The default tile 40 with border 12 spans the 64-point
+    transform exactly; README "FSE tile geometry" gives the measurements it
+    was chosen by. decay_rho controls the spatial weighting falloff from
     the tile center and orth_gamma damps each greedy coefficient update.
     A tile stops after max_iterations greedy steps, or earlier once its
     residual energy falls below stop_epsilon times its start.
     """
 
-    tile_size: int = 16
-    border: int = 16
+    tile_size: int = 40
+    border: int = 12
     decay_rho: float = 0.8
     orth_gamma: float = 0.5
     max_iterations: int = 100

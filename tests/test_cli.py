@@ -1,11 +1,13 @@
 import csv
 import json
+import re
 import struct
 from pathlib import Path
 
 import pytest
 
 from mclift.cli import COMPARE_COLUMNS, METRICS_COLUMNS, main
+from mclift.core import LiftConfig
 from mclift.io import SIDECAR_KEYS, read_dataset
 from mclift.lifting import _CONTAINER_HEADER, read_container
 
@@ -50,6 +52,22 @@ def test_gen_fixture_unknown_kind_is_usage_error(tmp_path):
 
 def test_missing_subcommand_is_usage_error():
     assert run() == 1
+
+
+def test_analyze_help_shows_the_defaults(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("analyze", "--help")
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    cfg = LiftConfig()
+    for flag, default in (
+        ("--block-size", cfg.block_size),
+        ("--search-range", cfg.search_range),
+        ("--fse-iters", cfg.fse.max_iterations),
+        ("--fse-tile", cfg.fse.tile_size),
+        ("--fse-border", cfg.fse.border),
+    ):
+        assert re.search(rf"{flag} [A-Z_]+ [^()]*\(default: {default}\)", text), flag
 
 
 def test_analyze_then_synthesize_round_trip(tmp_path):

@@ -125,8 +125,9 @@ def test_grid_dims_and_clipped_blocks():
         {"tile_size": 200, "border": 100},  # fft_size 512
         {"max_iterations": 10_001},
         {"max_iterations": 1 << 32},
-        {"max_iterations": 1001},  # work per pixel 16016
+        {"tile_size": 16, "border": 16, "max_iterations": 1001},  # work 16016
         {"tile_size": 1, "border": 127, "max_iterations": 10_000},
+        {"max_iterations": 6251},  # work per pixel 16002.56 at the defaults
     ],
 )
 def test_fse_params_validation(kwargs):
@@ -137,13 +138,16 @@ def test_fse_params_validation(kwargs):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"max_iterations": 1000},  # the default budget of earlier releases
+        # the default geometry and budget of earlier releases
+        {"tile_size": 16, "border": 16, "max_iterations": 1000},
         {"tile_size": 8, "border": 8, "max_iterations": 1000},
         {"tile_size": 16, "border": 0, "max_iterations": 10_000},
+        {"max_iterations": 6250},
     ],
 )
 def test_fse_params_accept_work_per_pixel_up_to_the_bound(kwargs):
-    # fft_size^2 * max_iterations / tile_size^2 is 16000, 16000 and 10000
+    # fft_size^2 * max_iterations / tile_size^2 is 16000, 16000, 10000 and
+    # 16000
     assert FseParams(**kwargs).max_iterations == kwargs["max_iterations"]
 
 

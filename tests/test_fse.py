@@ -17,6 +17,8 @@ from mclift.lifting import analyze_sequence
 from test_golden import FIXTURES
 
 SMALL = FseParams(tile_size=8, border=8, max_iterations=100)
+# The default geometry of earlier releases; their containers carry it.
+TILE_16 = FseParams(tile_size=16, border=16)
 
 
 def field_with_holes(values, holes):
@@ -31,7 +33,7 @@ def test_plan_tiles_empty():
 def test_plan_tiles_single_hole_pixel():
     holes = np.zeros((64, 64), dtype=bool)
     holes[20, 20] = True
-    plans = plan_tiles(holes, FseParams())
+    plans = plan_tiles(holes, TILE_16)
     assert len(plans) == 1
     plan = plans[0]
     assert (plan.tile_y, plan.tile_x) == (16, 16)
@@ -41,7 +43,7 @@ def test_plan_tiles_single_hole_pixel():
 def test_plan_tiles_hole_spanning_two_cells():
     holes = np.zeros((64, 64), dtype=bool)
     holes[10, 14:18] = True  # crosses the x=16 tile boundary
-    plans = plan_tiles(holes, FseParams())
+    plans = plan_tiles(holes, TILE_16)
     assert [(p.tile_y, p.tile_x) for p in plans] == [(0, 0), (0, 16)]
     # ownership is disjoint: each tile covers its own aligned cell only
     owned = np.zeros_like(holes)
@@ -395,10 +397,11 @@ def test_golden_fixture_fill_cannot_drift(kind):
     seq = generate(kind, **FIXTURES[kind])
     cfg = LiftConfig(update_mode=UpdateMode.FSE_FILL)
     _, products = analyze_sequence(seq, cfg)
-    checked = sum(
-        assert_fill_cannot_drift(p.weighted_update, cfg.fse) for p in products
-    )
-    assert checked > 0
+    for params in (cfg.fse, TILE_16):
+        checked = sum(
+            assert_fill_cannot_drift(p.weighted_update, params) for p in products
+        )
+        assert checked > 0
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -407,5 +410,5 @@ def test_random_field_fill_cannot_drift(seed):
     holes = rng.random((80, 72)) < 0.08
     holes[30:44, 20:41] = True
     field = field_with_holes(rng.normal(scale=40.0, size=(80, 72)), holes)
-    for params in (FseParams(), SMALL):
+    for params in (FseParams(), TILE_16, SMALL):
         assert assert_fill_cannot_drift(field, params) == holes.sum()

@@ -6,19 +6,26 @@ the sha256 of the container and of the raw reconstruction with pinned
 values. A change in motion search, weighting, FSE arithmetic, numpy/FFT
 behaviour or the container layout that moves a single byte fails here.
 
-The same cases run again with `--fse-iters 1000`, the default budget of
-earlier releases. The header carries the budget and the decoder
-recomputes the fill from it, so a default budget change moves every
-container hash but must leave these pins, and every reconstruction,
-unchanged. They are version 3 pins, no longer the bytes earlier releases
-wrote: the half-plane FSE loop bumped the container version, and the
-containers of every case here differ from the version 2 ones only in that
-byte.
+The header carries the FSE parameters and the decoder recomputes the fill
+from them, so a change of a default moves every container hash but must
+leave the containers written at the old value, and every reconstruction,
+unchanged. Two such pin sets are kept:
+
+* `--fse-tile 16 --fse-border 16`, the default tile geometry of earlier
+  releases. These are the container hashes the default flags gave before
+  the default became tile 40, border 12.
+* `--fse-tile 16 --fse-border 16 --fse-iters 1000`, the default geometry
+  and iteration budget of earlier releases.
+
+All are version 3 pins, no longer the bytes earlier releases wrote: the
+half-plane FSE loop bumped the container version, and the containers of
+every case here differ from the version 2 ones only in that byte.
 
 The fixtures cover a trailing frame and partial blocks (translate,
 50x38x3), FSE hole filling next to a sharp update step
 (flash_disocclusion, 80x80x2) and 12-bit samples whose SSD needs 64-bit
-accumulation with 16x16 blocks (noise, 32x32x2, every FSE tile capped).
+accumulation with 16x16 blocks (noise, 32x32x2, every FSE tile capped: one
+tile at the default geometry, three at tile 16).
 """
 
 import hashlib
@@ -36,45 +43,69 @@ FIXTURES = {
 # (kind, mode) -> (container sha256, reconstruction sha256) at default flags
 GOLDEN = {
     ("translate", "none"): (
-        "7f622390b700d066128a55152fc3ed0015d4a527a0042812f7720b68c6b5a2fd",
+        "98a919c09e3ada8af3b6a799d0f9d395a2e7391b9993b6e3227d4359734dc60e",
         "d359c19e468b35a6b2fbef023b42b6cd04ef197ccf84e1972ffa53029e51387d",
     ),
     ("translate", "block"): (
-        "e037e3d87782afdebff7d244d8e7d09fdf70ab9c2505055e02c4cc26ab710985",
+        "d211c95242a642bc1f47b23dc7ab158d951095b2dbcc6376b38c02c381cfca06",
         "d359c19e468b35a6b2fbef023b42b6cd04ef197ccf84e1972ffa53029e51387d",
     ),
     ("translate", "block+fse"): (
-        "08c54548a2557f1afefd96e37312102cc5694ac5e9a6e5a0b1b289a343f62a6c",
+        "a1be5034622febc76dba37d28111987eb29a62210dc16fd0f23ee65d6a5710ef",
         "d359c19e468b35a6b2fbef023b42b6cd04ef197ccf84e1972ffa53029e51387d",
     ),
     ("flash_disocclusion", "none"): (
-        "98f833662f8ae42929c37353742a43ce9563c587d21c808c1ea47a3ca881c222",
+        "e44b38c76281626288a65d7ed65b226c0363fa31364db03a355aeaf4f0fe613b",
         "26fc6d485a38a7999bda9d54539cc472a531762df85fed4ec89f94914feb9a8d",
     ),
     ("flash_disocclusion", "block"): (
-        "5d577f976df5b9bae7b7debf70d4061a9a3a59af73c992491209bf8c1127fae1",
+        "4600bc70df1667432ca4488e4566cadbb2a1c998ae041dfa0938384650ed5900",
         "26fc6d485a38a7999bda9d54539cc472a531762df85fed4ec89f94914feb9a8d",
     ),
     ("flash_disocclusion", "block+fse"): (
-        "aa4cc24f48517188e626f918058df5fa7decb7f1efdd822bc6773452d89b20a3",
+        "7d34a3d7cec2931b8861783cf8a5cf29e5fc1fe3b00678d78589482d7db32535",
         "26fc6d485a38a7999bda9d54539cc472a531762df85fed4ec89f94914feb9a8d",
     ),
     ("noise", "none"): (
-        "b6880fb5d76ac50d718156d13ba75738cc16641217f53f069b2f0348eb162505",
+        "95a216a4d1d8e1e6554b2be736227f7d4aaf6ad0ba968e1f9152fc8a0d5b49fb",
         "fbb89e75e0c8d9eb8ec4dea9860e39302243ae512dc78a38cd8a6a1f84817d72",
     ),
     ("noise", "block"): (
-        "be666ee0e3a1cc053a9a480317ca1e53b2660275f5647a84b592e4579867220d",
+        "ef95e1be73d5baecdf49ed82a6e34da9bad67a5c516f4a43a3023c373c1cc979",
         "fbb89e75e0c8d9eb8ec4dea9860e39302243ae512dc78a38cd8a6a1f84817d72",
     ),
     ("noise", "block+fse"): (
-        "7e166510e4a5b5f7ef9ed7fe6b20e255d82e766813e5b87f88a338295b411c24",
+        "23a233bfc2040e5761c9e9a8662d7ef809b75e1c674278cb6be1d59f1630fc2a",
         "fbb89e75e0c8d9eb8ec4dea9860e39302243ae512dc78a38cd8a6a1f84817d72",
     ),
 }
 
-# (kind, mode) -> container sha256 at --fse-iters 1000; the reconstruction
-# sha256 is the one in GOLDEN
+# (kind, mode) -> container sha256 at --fse-tile 16 --fse-border 16, the
+# default geometry of earlier releases; the reconstruction sha256 is the one
+# in GOLDEN
+GOLDEN_TILE_16 = {
+    ("translate", "none"):
+        "7f622390b700d066128a55152fc3ed0015d4a527a0042812f7720b68c6b5a2fd",
+    ("translate", "block"):
+        "e037e3d87782afdebff7d244d8e7d09fdf70ab9c2505055e02c4cc26ab710985",
+    ("translate", "block+fse"):
+        "08c54548a2557f1afefd96e37312102cc5694ac5e9a6e5a0b1b289a343f62a6c",
+    ("flash_disocclusion", "none"):
+        "98f833662f8ae42929c37353742a43ce9563c587d21c808c1ea47a3ca881c222",
+    ("flash_disocclusion", "block"):
+        "5d577f976df5b9bae7b7debf70d4061a9a3a59af73c992491209bf8c1127fae1",
+    ("flash_disocclusion", "block+fse"):
+        "aa4cc24f48517188e626f918058df5fa7decb7f1efdd822bc6773452d89b20a3",
+    ("noise", "none"):
+        "b6880fb5d76ac50d718156d13ba75738cc16641217f53f069b2f0348eb162505",
+    ("noise", "block"):
+        "be666ee0e3a1cc053a9a480317ca1e53b2660275f5647a84b592e4579867220d",
+    ("noise", "block+fse"):
+        "7e166510e4a5b5f7ef9ed7fe6b20e255d82e766813e5b87f88a338295b411c24",
+}
+
+# (kind, mode) -> container sha256 at --fse-tile 16 --fse-border 16
+# --fse-iters 1000; the reconstruction sha256 is the one in GOLDEN
 GOLDEN_BUDGET_1000 = {
     ("translate", "none"):
         "3d5e183ca8f0e590d66cdb2bb8ee2004fb3386478dd1c459a358b42549bf0065",
@@ -95,6 +126,9 @@ GOLDEN_BUDGET_1000 = {
     ("noise", "block+fse"):
         "2fe52aba432ed2d7fb6c5eba837a5e08239ade12acbe788e41c2cee93f29bdff",
 }
+
+
+TILE_16_FLAGS = ("--fse-tile", "16", "--fse-border", "16")
 
 
 def _sha256(path) -> str:
@@ -121,7 +155,14 @@ def test_golden_hashes(tmp_path, kind, mode):
     assert digests(tmp_path, kind, mode) == GOLDEN[kind, mode]
 
 
+@pytest.mark.parametrize("kind,mode", sorted(GOLDEN_TILE_16))
+def test_golden_hashes_at_tile_16(tmp_path, kind, mode):
+    container, recon = GOLDEN_TILE_16[kind, mode], GOLDEN[kind, mode][1]
+    assert digests(tmp_path, kind, mode, *TILE_16_FLAGS) == (container, recon)
+
+
 @pytest.mark.parametrize("kind,mode", sorted(GOLDEN_BUDGET_1000))
 def test_golden_hashes_at_budget_1000(tmp_path, kind, mode):
     container, recon = GOLDEN_BUDGET_1000[kind, mode], GOLDEN[kind, mode][1]
-    assert digests(tmp_path, kind, mode, "--fse-iters", "1000") == (container, recon)
+    flags = (*TILE_16_FLAGS, "--fse-iters", "1000")
+    assert digests(tmp_path, kind, mode, *flags) == (container, recon)

@@ -172,12 +172,19 @@ def test_analyze_pair_translated_content(rng):
     assert np.array_equal(lp[:16, :32], tex[:16, :32])
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_default_fse_budget_keeps_the_hole_filling_effect(seed):
+@pytest.mark.parametrize(
+    "seed,width,height",
+    [pytest.param(seed, 128, 128, id=str(seed)) for seed in (1, 2, 3)]
+    # the benchmark's disocclusion geometry
+    + [pytest.param(seed, 176, 144, id=f"176x144-{seed}") for seed in (4, 5)],
+)
+def test_default_fse_budget_keeps_the_hole_filling_effect(seed, width, height):
     # Acceptance criteria 7 and 8 at the shipped FseParams() defaults:
     # filling the holes lowers the boundary step strictly, never grows the
     # coded lowpass and never raises its PSNR against the reference.
-    ref, cur = fixtures.generate("flash_disocclusion", seed=seed, frames=2)
+    ref, cur = fixtures.generate(
+        "flash_disocclusion", width=width, height=height, seed=seed, frames=2
+    )
     block = analyze_pair(ref, cur, LiftConfig(update_mode=UpdateMode.COPY_UNCONNECTED))
     filled = analyze_pair(ref, cur, LiftConfig(update_mode=UpdateMode.FSE_FILL))
     assert filled.conn.hole_mask.any()

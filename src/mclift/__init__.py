@@ -13,6 +13,7 @@ from .core import (
     UpdateField,
     UpdateMode,
     VerificationError,
+    compensation_source,
     floor_samples,
 )
 from .fse import TileStats, fse_reconstruct, fse_tile_iterate, plan_tiles
@@ -64,6 +65,7 @@ __all__ = [
     "apply_connectivity_weights",
     "block_ssd",
     "boundary_step_metric",
+    "compensation_source",
     "connectivity_stats",
     "decode_lossless",
     "encode_lossless",

@@ -214,9 +214,10 @@ def compensation_source(motion: MotionField, width: int, height: int) -> np.ndar
     current frame, the flat index (y + dy) * width + (x + dx) of the
     reference pixel that the vector (dx, dy) of its block points at.
 
-    Prediction gathers through this map and the update step scatters back
-    along it. Memory grows with the frame, not with the block size: the
-    per-block shifts are expanded by the blocks' clipped extents. Raises
+    The pair functions build it once per pair: prediction gathers through
+    it and the update step scatters back along it. Memory grows with the
+    frame, not with the block size: the per-block shifts are expanded by
+    the blocks' clipped extents. Raises
     ValueError if the field's grid does not match the frame, or naming the
     first block in raster order whose clipped extent lands outside it.
     """

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import ConnectivityMap, Frame, MotionField, UpdateField, compensation_source
+from .core import ConnectivityMap, Frame, UpdateField
 
 
 class ConnectivityStats(NamedTuple):
@@ -23,36 +23,35 @@ class ConnectivityStats(NamedTuple):
 
 
 def imc_scatter(
-    highpass: Frame, motion: MotionField
-) -> tuple[UpdateField, ConnectivityMap]:
-    """Scatter highpass blocks back along their vectors.
+    highpass: Frame, source: np.ndarray
+) -> tuple[np.ndarray, ConnectivityMap]:
+    """Scatter highpass blocks back along the compensation map `source`
+    (see `compensation_source`).
 
-    Returns the raw accumulated sums (not yet weighted) and the per-pixel
-    contribution counts, both binned over the compensation map. The float64
-    sums are exact while every partial sum is an integer below 2**53, so
-    they do not depend on summation order. Data read from a dataset always
-    meets this: |highpass| < 2**16 and a pixel takes at most 2**32
-    contributions. Analysis and synthesis share this code, so the round
-    trip is exact in every case.
+    Returns the raw accumulated sums (float64, not yet weighted) and the
+    per-pixel contribution counts, both binned over the map. The sums are
+    exact while every partial sum is an integer below 2**53, so they do not
+    depend on summation order. Data read from a dataset always meets this:
+    |highpass| < 2**16 and a pixel takes at most 2**32 contributions.
+    Analysis and synthesis share this code, so the round trip is exact in
+    every case.
     """
-    height, width = highpass.samples.shape
-    source = compensation_source(motion, width, height).ravel()
-    size = height * width
-    sums = np.bincount(source, weights=highpass.samples.ravel(), minlength=size)
-    counts = np.bincount(source, minlength=size).reshape(height, width)
-    accum = UpdateField(values=sums.reshape(height, width), hole_mask=counts == 0)
-    return accum, ConnectivityMap(counts)
+    shape = highpass.samples.shape
+    if source.shape != shape:
+        raise ValueError("compensation map shape does not match frame")
+    flat = source.ravel()
+    sums = np.bincount(flat, weights=highpass.samples.ravel(), minlength=flat.size)
+    counts = np.bincount(flat, minlength=flat.size)
+    return sums.reshape(shape), ConnectivityMap(counts.reshape(shape))
 
 
-def apply_connectivity_weights(
-    accum: UpdateField, conn: ConnectivityMap
-) -> UpdateField:
-    """Weight k-connected sums by 1/(k+1); unconnected pixels stay zero."""
-    if conn.counts.shape != accum.values.shape:
-        raise ValueError("connectivity map shape does not match update field")
+def apply_connectivity_weights(sums: np.ndarray, conn: ConnectivityMap) -> UpdateField:
+    """Weight k-connected sums by 1/(k+1). No block lands on an unconnected
+    pixel, so its sum, and its weighted value, is zero."""
+    if conn.counts.shape != sums.shape:
+        raise ValueError("connectivity map shape does not match update sums")
     k = conn.counts
-    values = np.where(k > 0, accum.values / (k + 1), 0.0)
-    return UpdateField(values=values, hole_mask=k == 0)
+    return UpdateField(values=sums / (k + 1), hole_mask=k == 0)
 
 
 def connectivity_stats(conn: ConnectivityMap) -> ConnectivityStats:

@@ -112,21 +112,18 @@ class SequenceBands:
             raise ValueError("bands must contain at least one lowpass frame")
 
 
-def mc_predict(reference: Frame, motion: MotionField) -> Frame:
+def mc_predict(reference: Frame, source: np.ndarray) -> Frame:
     """Assemble the block-compensated predictor by a gather through the
-    compensation map; each pixel is read once."""
-    height, width = reference.samples.shape
-    source = compensation_source(motion, width, height)
+    compensation map `source` (see `compensation_source`); each pixel is
+    read once."""
+    if source.shape != reference.samples.shape:
+        raise ValueError("compensation map shape does not match frame")
     return Frame(reference.samples.ravel()[source], reference.bit_depth)
 
 
 def analyze_highpass(current: Frame, predictor: Frame) -> Frame:
-    """Highpass band: current minus floored predictor.
-
-    The predictor is integer-valued here, so the floor is an identity; it
-    is what keeps the step invertible if a fractional-pel predictor is
-    ever substituted.
-    """
+    """Highpass band: current minus the predictor. Both are integer
+    (full-pel) frames, so the difference is exact and no rounding enters."""
     if not current.same_geometry(predictor):
         raise ValueError("current and predictor geometry differ")
     hp = current.samples.astype(np.int64) - predictor.samples
@@ -142,31 +139,23 @@ def analyze_lowpass(reference: Frame, update: UpdateField) -> Frame:
 
 
 def _build_update(
-    highpass: Frame,
-    motion: MotionField,
-    mode: UpdateMode,
-    fse_params: FseParams,
+    highpass: Frame, source: np.ndarray, mode: UpdateMode, fse: FseParams
 ) -> tuple[UpdateField, UpdateField, ConnectivityMap, tuple[TileStats, ...]]:
     """Recomputable update pipeline shared by analysis and synthesis.
 
     Returns (final, weighted, conn, fse_stats); `final` is what the update
     step actually adds.
     """
-    raw, conn = imc_scatter(highpass, motion)
-    weighted = apply_connectivity_weights(raw, conn)
-    stats: tuple[TileStats, ...] = ()
+    sums, conn = imc_scatter(highpass, source)
+    weighted = apply_connectivity_weights(sums, conn)
+    stats: list[TileStats] = []
     if mode is UpdateMode.NO_UPDATE:
-        final = UpdateField(
-            values=np.zeros_like(weighted.values), hole_mask=weighted.hole_mask
-        )
+        final = UpdateField(np.zeros_like(weighted.values), weighted.hole_mask)
     elif mode is UpdateMode.COPY_UNCONNECTED:
         final = weighted
-    elif mode is UpdateMode.FSE_FILL:
-        final, stat_list = fse_reconstruct(weighted, fse_params)
-        stats = tuple(stat_list)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown update mode {mode}")
-    return final, weighted, conn, stats
+    else:
+        final, stats = fse_reconstruct(weighted, fse)
+    return final, weighted, conn, tuple(stats)
 
 
 def analyze_pair(reference: Frame, current: Frame, cfg: LiftConfig) -> PairProducts:
@@ -174,10 +163,11 @@ def analyze_pair(reference: Frame, current: Frame, cfg: LiftConfig) -> PairProdu
     if not reference.same_geometry(current):
         raise ValueError("reference and current frames must share geometry")
     motion = estimate_motion(current, reference, cfg)
-    predictor = mc_predict(reference, motion)
+    source = compensation_source(motion, reference.width, reference.height)
+    predictor = mc_predict(reference, source)
     highpass = analyze_highpass(current, predictor)
     final, weighted, conn, stats = _build_update(
-        highpass, motion, cfg.update_mode, cfg.fse
+        highpass, source, cfg.update_mode, cfg.fse
     )
     lowpass = analyze_lowpass(reference, final)
     subbands = SubbandPair(lowpass, highpass, motion, cfg.update_mode, cfg.fse)
@@ -197,12 +187,12 @@ def synthesize_pair(bands: SubbandPair) -> tuple[Frame, Frame]:
     including the deterministic hole filling, then both lifting steps are
     undone in reverse order.
     """
-    final, _, _, _ = _build_update(
-        bands.highpass, bands.motion, bands.update_mode, bands.fse
-    )
-    lp = bands.lowpass.samples.astype(np.int64)
-    reference = Frame(lp - floor_samples(final.values), bands.lowpass.bit_depth)
-    predictor = mc_predict(reference, bands.motion)
+    lowpass = bands.lowpass
+    source = compensation_source(bands.motion, lowpass.width, lowpass.height)
+    final = _build_update(bands.highpass, source, bands.update_mode, bands.fse)[0]
+    lp = lowpass.samples.astype(np.int64)
+    reference = Frame(lp - floor_samples(final.values), lowpass.bit_depth)
+    predictor = mc_predict(reference, source)
     current = Frame(
         bands.highpass.samples.astype(np.int64) + predictor.samples,
         bands.highpass.bit_depth,
@@ -325,10 +315,7 @@ def _read_frame(
     if offset + need > len(data):
         raise DataFormatError(f"{what} samples truncated at byte {offset}")
     samples = np.frombuffer(data, dtype="<i4", count=width * height, offset=offset)
-    return (
-        Frame(samples.reshape(height, width).astype(np.int32), bit_depth),
-        offset + need,
-    )
+    return Frame(samples.reshape(height, width), bit_depth), offset + need
 
 
 def container_from_bytes(data: bytes) -> SequenceBands:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from mclift.core import Frame, MotionField, grid_dims
+from mclift.core import Frame, MotionField, compensation_source, grid_dims
+from mclift.imc import imc_scatter
+from mclift.lifting import mc_predict
 
 
 def make_frame(rng: np.random.Generator, width: int, height: int, bit_depth: int) -> Frame:
@@ -24,6 +26,20 @@ def motion_field(block_size: int, blocks_x: int, blocks_y: int, vectors) -> Moti
     """A motion field from its (dx, dy) pairs listed in raster order."""
     grid = np.array(vectors, dtype=np.int64).reshape(blocks_y, blocks_x, 2)
     return MotionField(block_size, grid)
+
+
+def predict(reference: Frame, motion: MotionField) -> Frame:
+    """`mc_predict` through the compensation map of `motion`."""
+    return mc_predict(
+        reference, compensation_source(motion, reference.width, reference.height)
+    )
+
+
+def scatter(highpass: Frame, motion: MotionField):
+    """`imc_scatter` along the compensation map of `motion`: (sums, conn)."""
+    return imc_scatter(
+        highpass, compensation_source(motion, highpass.width, highpass.height)
+    )
 
 
 class BlockRegion(NamedTuple):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from mclift.core import Frame, LiftConfig, MotionField
+from mclift.core import Frame, LiftConfig, MotionField, compensation_source
 from mclift.imc import apply_connectivity_weights, connectivity_stats, imc_scatter
 from mclift.lifting import mc_predict
 from mclift.motion import estimate_motion
 
-from conftest import iter_blocks, make_frame, make_pair, motion_field
+from conftest import iter_blocks, make_frame, make_pair, motion_field, scatter
 
 
 def zero_field(width, height, block_size):
@@ -45,41 +45,41 @@ def reference_scatter(highpass, motion):
 
 def test_zero_motion_scatter_is_identity(rng):
     hp = make_frame(rng, 24, 16, 8)
-    accum, conn = imc_scatter(hp, zero_field(24, 16, 8))
+    sums, conn = scatter(hp, zero_field(24, 16, 8))
     assert np.array_equal(conn.counts, np.ones((16, 24), dtype=np.int32))
-    assert np.array_equal(accum.values, hp.samples.astype(float))
-    assert not accum.hole_mask.any()
+    assert np.array_equal(sums, hp.samples.astype(float))
+    assert not apply_connectivity_weights(sums, conn).hole_mask.any()
 
 
 def test_two_blocks_colliding_on_one_pixel():
     hp = Frame(np.array([[4, 6]], dtype=np.int32), 8)
     field = motion_field(1, 2, 1, [(0, 0), (-1, 0)])
-    accum, conn = imc_scatter(hp, field)
+    sums, conn = scatter(hp, field)
     assert conn.counts.tolist() == [[2, 0]]
-    assert accum.values.tolist() == [[10.0, 0.0]]
-    assert accum.hole_mask.tolist() == [[False, True]]
+    assert sums.tolist() == [[10.0, 0.0]]
+    assert apply_connectivity_weights(sums, conn).hole_mask.tolist() == [[False, True]]
     assert connectivity_stats(conn) == (1, 0, 1)
 
 
 def test_uniform_shift_vacates_a_column(rng):
     hp = make_frame(rng, 16, 8, 8)
     field = motion_field(8, 2, 1, [(1, 0), (0, 0)])
-    accum, conn = imc_scatter(hp, field)
+    sums, conn = scatter(hp, field)
     # the first block moved right by one: column 0 is vacated, column 8 is
     # hit by both that block and the untouched second block
     assert np.all(conn.counts[:, 0] == 0)
     assert np.all(conn.counts[:, 1:8] == 1)
     assert np.all(conn.counts[:, 8] == 2)
     assert np.all(conn.counts[:, 9:] == 1)
-    assert np.all(accum.hole_mask[:, 0])
-    assert np.array_equal(accum.values[:, 1:8], hp.samples[:, 0:7].astype(float))
+    assert np.all(apply_connectivity_weights(sums, conn).hole_mask[:, 0])
+    assert np.array_equal(sums[:, 1:8], hp.samples[:, 0:7].astype(float))
 
 
 def test_out_of_bounds_vector_rejected(rng):
     hp = make_frame(rng, 8, 8, 8)
     field = motion_field(8, 1, 1, [(1, 0)])
     with pytest.raises(ValueError, match="outside"):
-        imc_scatter(hp, field)
+        scatter(hp, field)
 
 
 @pytest.mark.parametrize(
@@ -100,11 +100,12 @@ def test_scatter_matches_per_block_reference(width, height, block_size, amplitud
         # highpass values of both signs, near +-2**16 at the top amplitude
         magnitude = rng.integers(amplitude - 7, amplitude + 1, size=(height, width))
         hp = Frame(magnitude * rng.choice([-1, 1], size=(height, width)), 16)
-        accum, conn = imc_scatter(hp, field)
+        got, conn = scatter(hp, field)
         sums, counts = reference_scatter(hp, field)
-        assert np.array_equal(accum.values, sums.astype(np.float64))
+        assert np.array_equal(got, sums.astype(np.float64))
         assert np.array_equal(conn.counts, counts)
-        assert np.array_equal(accum.hole_mask, counts == 0)
+        holes = apply_connectivity_weights(got, conn).hole_mask
+        assert np.array_equal(holes, counts == 0)
 
 
 def test_scatter_sums_colliding_extremes_exactly():
@@ -115,14 +116,16 @@ def test_scatter_sums_colliding_extremes_exactly():
     hp = Frame(magnitude * rng.choice([-1, 1], size=(5, 5)), 16)
     vectors = [(2 - x, 2 - y) for y in range(5) for x in range(5)]
     field = motion_field(1, 5, 5, vectors)
-    accum, conn = imc_scatter(hp, field)
+    got, conn = scatter(hp, field)
     sums, counts = reference_scatter(hp, field)
     assert conn.counts[2, 2] == 25 and int(conn.counts.sum()) == 25
-    assert accum.values[2, 2] == float(hp.samples.astype(np.int64).sum())
-    assert np.array_equal(accum.values, sums.astype(np.float64))
+    assert got[2, 2] == float(hp.samples.astype(np.int64).sum())
+    assert np.array_equal(got, sums.astype(np.float64))
     assert np.array_equal(conn.counts, counts)
 
 
+# The bounds rule is compensation_source's alone: for a field with a block
+# outside the frame, the map that either stage takes is never built.
 @pytest.mark.parametrize("apply", [mc_predict, imc_scatter])
 def test_first_block_outside_in_raster_order_is_named(rng, apply):
     # blocks (1,0) and (0,1) both leave the 16x16 frame; (1,0) comes first
@@ -131,7 +134,7 @@ def test_first_block_outside_in_raster_order_is_named(rng, apply):
     field = motion_field(8, 2, 2, vectors)
     message = r"^block \(1,0\) vector .* lands outside the frame$"
     with pytest.raises(ValueError, match=message):
-        apply(frame, field)
+        apply(frame, compensation_source(field, 16, 16))
 
 
 @pytest.mark.parametrize("vector", [(-1, 0), (1, 0), (0, -1), (0, 1)])
@@ -139,20 +142,20 @@ def test_first_block_outside_in_raster_order_is_named(rng, apply):
 def test_block_leaving_any_side_is_rejected(rng, apply, vector):
     frame = make_frame(rng, 8, 8, 8)
     with pytest.raises(ValueError, match=r"^block \(0,0\) vector"):
-        apply(frame, motion_field(8, 1, 1, [vector]))
+        apply(frame, compensation_source(motion_field(8, 1, 1, [vector]), 8, 8))
 
 
 def test_weights_one_connected_halves():
     hp = Frame(np.array([[10]], dtype=np.int32), 8)
-    accum, conn = imc_scatter(hp, zero_field(1, 1, 1))
-    weighted = apply_connectivity_weights(accum, conn)
+    sums, conn = scatter(hp, zero_field(1, 1, 1))
+    weighted = apply_connectivity_weights(sums, conn)
     assert weighted.values[0, 0] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_weights_two_connected_thirds():
     hp = Frame(np.array([[4, 6]], dtype=np.int32), 8)
     field = motion_field(1, 2, 1, [(0, 0), (-1, 0)])
-    weighted = apply_connectivity_weights(*imc_scatter(hp, field))
+    weighted = apply_connectivity_weights(*scatter(hp, field))
     assert weighted.values[0, 0] == pytest.approx(10.0 / 3.0, abs=1e-12)
     assert weighted.values[0, 1] == 0.0
     assert weighted.hole_mask[0, 1]
@@ -160,7 +163,7 @@ def test_weights_two_connected_thirds():
 
 def test_stats_partition_full_frame(rng):
     hp = make_frame(rng, 32, 24, 8)
-    _, conn = imc_scatter(hp, zero_field(32, 24, 8))
+    _, conn = scatter(hp, zero_field(32, 24, 8))
     assert connectivity_stats(conn) == (0, 32 * 24, 0)
 
 
@@ -179,7 +182,7 @@ def test_mass_conservation_and_hole_oracle(seed):
     block_size = int(rng.choice([4, 8, 16]))
     hp = make_frame(rng, width, height, 8)
     field = random_field(rng, width, height, block_size, 5)
-    accum, conn = imc_scatter(hp, field)
+    sums, conn = scatter(hp, field)
 
     clipped_area = sum(b.w * b.h for b in iter_blocks(width, height, block_size))
     assert int(conn.counts.sum()) == clipped_area
@@ -188,14 +191,14 @@ def test_mass_conservation_and_hole_oracle(seed):
     for blk in iter_blocks(width, height, block_size):
         v = field.vector_at(blk.bx, blk.by)
         covered[blk.y0 + v.dy : blk.y0 + v.dy + blk.h, blk.x0 + v.dx : blk.x0 + v.dx + blk.w] = True
-    assert np.array_equal(accum.hole_mask, ~covered)
+    assert np.array_equal(apply_connectivity_weights(sums, conn).hole_mask, ~covered)
     assert np.array_equal(conn.counts == 0, ~covered)
 
 
 def test_zero_motion_weighted_update_is_half_highpass(rng):
     cur, ref = make_pair(rng, 32, 32, 8)
     hp = Frame(cur.samples - ref.samples, 8)
-    weighted = apply_connectivity_weights(*imc_scatter(hp, zero_field(32, 32, 16)))
+    weighted = apply_connectivity_weights(*scatter(hp, zero_field(32, 32, 16)))
     assert not weighted.hole_mask.any()
     assert np.array_equal(weighted.values, hp.samples / 2.0)
 
@@ -206,22 +209,29 @@ def test_weighting_is_linear_on_covered_pixels(rng):
     a = make_frame(rng, width, height, 8)
     b = make_frame(rng, width, height, 8)
     summed = Frame(a.samples + b.samples, 8)
-    wa = apply_connectivity_weights(*imc_scatter(a, field))
-    wb = apply_connectivity_weights(*imc_scatter(b, field))
-    ws = apply_connectivity_weights(*imc_scatter(summed, field))
+    wa = apply_connectivity_weights(*scatter(a, field))
+    wb = apply_connectivity_weights(*scatter(b, field))
+    ws = apply_connectivity_weights(*scatter(summed, field))
     assert np.allclose(ws.values, wa.values + wb.values, atol=1e-9)
 
 
 def test_weights_from_real_motion_search(rng):
     cur, ref = make_pair(rng, 48, 32, 8)
     field = estimate_motion(cur, ref, LiftConfig(16, 4))
-    accum, conn = imc_scatter(
-        Frame(cur.samples - ref.samples, 8), field
-    )
-    weighted = apply_connectivity_weights(accum, conn)
+    sums, conn = scatter(Frame(cur.samples - ref.samples, 8), field)
+    weighted = apply_connectivity_weights(sums, conn)
     k = conn.counts
     covered = k > 0
     assert np.allclose(
-        weighted.values[covered], accum.values[covered] / (k[covered] + 1)
+        weighted.values[covered], sums[covered] / (k[covered] + 1)
     )
     assert np.all(weighted.values[~covered] == 0.0)
+
+
+def test_stages_reject_shapes_that_do_not_match(rng):
+    hp = make_frame(rng, 16, 16, 8)
+    with pytest.raises(ValueError, match="compensation map shape"):
+        imc_scatter(hp, compensation_source(zero_field(16, 8, 8), 16, 8))
+    sums, conn = scatter(hp, zero_field(16, 16, 8))
+    with pytest.raises(ValueError, match="does not match update sums"):
+        apply_connectivity_weights(sums[:8], conn)

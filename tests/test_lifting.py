@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mclift import fixtures
+from mclift import core, fixtures, imc, lifting
 from mclift.core import (
     DataFormatError,
     Frame,
@@ -18,6 +18,7 @@ from mclift.core import (
     UpdateField,
     UpdateMode,
     VerificationError,
+    compensation_source,
 )
 from mclift.lifting import (
     _CONTAINER_HEADER,
@@ -44,7 +45,9 @@ from conftest import (
     make_pair,
     motion_field,
     overwrite,
+    predict,
 )
+from test_golden import FIXTURES
 
 FAST_FSE = FseParams(tile_size=8, border=8, max_iterations=40)
 
@@ -60,7 +63,7 @@ def zero_field(width, height, block_size):
 
 def test_mc_predict_zero_motion_is_identity(rng):
     ref = make_frame(rng, 32, 24, 8)
-    assert mc_predict(ref, zero_field(32, 24, 8)) == ref
+    assert predict(ref, zero_field(32, 24, 8)) == ref
 
 
 def test_mc_predict_uniform_translation(rng):
@@ -73,7 +76,7 @@ def test_mc_predict_uniform_translation(rng):
             ok = i * 8 + 8 + 5 <= 48 and j * 8 + 8 + 2 <= 40
             vectors.append((5, 2) if ok else (0, 0))
     field = motion_field(8, bx, by, vectors)
-    pred = mc_predict(ref, field)
+    pred = predict(ref, field)
     for j in range(by):
         for i in range(bx):
             if vectors[j * bx + i] == (5, 2):
@@ -87,7 +90,7 @@ def test_mc_predict_adjacent_blocks_show_seam():
     base = (np.arange(17, dtype=np.int32) * 3)[None, :].repeat(4, axis=0)
     ref = Frame(base, 8)
     field = motion_field(8, 3, 1, [(0, 0), (1, 0), (0, 0)])
-    pred = mc_predict(ref, field).samples
+    pred = predict(ref, field).samples
     assert np.array_equal(pred[:, :8], base[:, :8])
     assert np.array_equal(pred[:, 8:16], base[:, 9:17])
     # the boundary step doubles relative to the source discontinuity
@@ -104,7 +107,7 @@ def test_mc_predict_matches_gather_oracle():
         w, h, bs = int(local.integers(9, 40)), int(local.integers(9, 40)), int(local.choice([4, 8]))
         ref = make_frame(local, w, h, 8)
         field = random_field(local, w, h, bs, 3)
-        pred = mc_predict(ref, field)
+        pred = predict(ref, field)
         out = np.empty((h, w), dtype=np.int32)
         for blk in iter_blocks(w, h, bs):
             v = field.vector_at(blk.bx, blk.by)
@@ -118,7 +121,14 @@ def test_mc_predict_rejects_out_of_bounds(rng):
     ref = make_frame(rng, 16, 16, 8)
     field = motion_field(16, 1, 1, [(-1, 0)])
     with pytest.raises(ValueError):
-        mc_predict(ref, field)
+        predict(ref, field)
+
+
+def test_mc_predict_rejects_a_map_of_another_frame(rng):
+    ref = make_frame(rng, 16, 16, 8)
+    source = compensation_source(zero_field(16, 8, 8), 16, 8)
+    with pytest.raises(ValueError, match="compensation map shape"):
+        mc_predict(ref, source)
 
 
 def test_analyze_highpass_examples():
@@ -230,6 +240,27 @@ def test_pair_round_trip_property(data, bit_depth, mode):
     assert got_ref == ref and got_cur == cur
 
 
+@pytest.mark.parametrize("mode", list(UpdateMode))
+def test_compensation_map_built_once_per_pair_per_direction(monkeypatch, mode):
+    # prediction and the update step share one map in each direction; every
+    # module's reference to the builder is counted, wherever it is called from
+    seq = fixtures.generate("translate", **FIXTURES["translate"])
+    build, calls = compensation_source, []
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    for module in (core, imc, lifting):
+        if hasattr(module, "compensation_source"):
+            monkeypatch.setattr(module, "compensation_source", counted)
+    bands, _ = analyze_sequence(seq, LiftConfig(update_mode=mode))
+    assert bands.pair_count == 1 and len(calls) == bands.pair_count
+    calls.clear()
+    assert synthesize_sequence(bands).frames == seq.frames
+    assert len(calls) == bands.pair_count
+
+
 def test_degenerate_synthesis_no_update_zero_highpass(rng):
     lp = make_frame(rng, 32, 32, 8)
     field = zero_field(32, 32, 16)
@@ -237,7 +268,7 @@ def test_degenerate_synthesis_no_update_zero_highpass(rng):
     bands = SubbandPair(lp, hp, field, UpdateMode.NO_UPDATE, FseParams())
     ref, cur = synthesize_pair(bands)
     assert ref == lp
-    assert cur == mc_predict(lp, field)
+    assert cur == predict(lp, field)
 
 
 def test_analyze_sequence_identical_two_frames(rng):
